@@ -17,6 +17,7 @@ from .intmatrix import (
     SmithDecomposition,
     Subquotient,
     cokernel_invariants,
+    cycle_lattice,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -88,6 +89,7 @@ __all__ = [
     "cokernel_invariants",
     "collapse",
     "cone",
+    "cycle_lattice",
     "cyclic_oracle",
     "dual_complex",
     "dual_lattice",

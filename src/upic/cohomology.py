@@ -10,21 +10,22 @@ For a bounded complex of coefficients the total complex carries
 D = (-1)^q d_group + d_coefficient on the (p, q) summand, so for a
 two-term complex [A -f-> B> this reads D(alpha, beta) =
 (d alpha, f(alpha) - d beta).  D*D = 0 is machine-checked on every
-instance before any invariant is reported.
+instance before any invariant is reported.  Group cohomology is the
+one-term case: the module placed in degree 0.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .complexes import BoundedComplex
+from .complexes import BoundedComplex, one_term
 from .errors import BudgetExceeded, DegreeTooLarge, ExactnessViolation, NotCyclic, ValidationError
 from .groups import FiniteGroup
 from .intmatrix import (
     AbelianInvariants,
     IntMatrix,
     Subquotient,
-    kernel_basis,
+    cycle_lattice,
     smith_normal_form,
     solve_integer,
     subquotient_invariants,
@@ -140,7 +141,7 @@ class HyperTotal:
     D composed with D vanishes modulo the relation lattice.
     """
 
-    __slots__ = ("group", "coeffs", "degree", "d_below", "d_at", "rel_below", "rel_at", "rel_above")
+    __slots__ = ("group", "coeffs", "degree", "d_below", "d_at", "rel_at", "rel_above")
 
     def __init__(self, group: FiniteGroup, coeffs: BoundedComplex, degree: int, degree_bound: int = DEFAULT_DEGREE_BOUND):
         if degree > degree_bound:
@@ -150,7 +151,6 @@ class HyperTotal:
         self.degree = degree
         self.d_below = self._differential(degree - 1)
         self.d_at = self._differential(degree)
-        self.rel_below = self._relations(degree - 1)
         self.rel_at = self._relations(degree)
         self.rel_above = self._relations(degree + 1)
         self._check_square_zero()
@@ -214,11 +214,7 @@ class HyperTotal:
         if n_at == 0:
             empty = Subquotient(0, IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
             return empty, AbelianInvariants(0)
-        stacked = self.d_at.to_dense().hstack(self.rel_above.neg())
-        ker = kernel_basis(stacked)
-        span = IntMatrix(n_at, ker.cols, ker.data[:n_at])
-        h, _, pivots = span.hermite()
-        cycles = IntMatrix.from_columns(n_at, [h.column(c) for _, c in pivots])
+        cycles = cycle_lattice(self.d_at.to_dense(), self.rel_above)
         boundaries = self.d_below.to_dense().hstack(self.rel_at)
         sq = Subquotient(n_at, cycles, boundaries)
         return sq, subquotient_invariants(sq)
@@ -242,34 +238,10 @@ def group_cohomology(
     degree: int,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
 ) -> AbelianInvariants:
-    """H^degree(group, m) from the normalized cochain complex."""
+    """H^degree(group, m): the hypercohomology of m placed in degree 0."""
     if degree < 0:
         raise ValueError("negative degree")
-    if degree > degree_bound:
-        raise DegreeTooLarge(f"degree {degree} exceeds the configured bound {degree_bound}")
-    if m.gens == 0:
-        return AbelianInvariants(0)
-    n = m.gens
-    d_at = cochain_differential(group, m, degree)
-    rel_above = cochain_relations(group, m, degree + 1)
-    n_at = cochain_rank(group, m, degree)
-    stacked = d_at.to_dense().hstack(rel_above.neg())
-    ker = kernel_basis(stacked)
-    span = IntMatrix(n_at, ker.cols, ker.data[:n_at])
-    h, _, pivots = span.hermite()
-    cycles = IntMatrix.from_columns(n_at, [h.column(c) for _, c in pivots])
-    if degree == 0:
-        boundaries = m.relations
-    else:
-        boundaries = cochain_differential(group, m, degree - 1).to_dense().hstack(
-            cochain_relations(group, m, degree)
-        )
-    return subquotient_invariants(Subquotient(n_at, cycles, boundaries))
-
-
-def invariants_subquotient(m: PresentedModule) -> AbelianInvariants:
-    """H^0: invariants of the module under the whole group action."""
-    return group_cohomology(m.group, m, 0)
+    return hypercohomology(group, one_term(m, 0), degree, degree_bound)
 
 
 def _norm_and_shift(group: FiniteGroup, m: PresentedModule, generator: int):
@@ -299,21 +271,13 @@ def cyclic_oracle(group: FiniteGroup, m: PresentedModule, degree: int) -> Abelia
     if n == 0:
         return AbelianInvariants(0)
     norm, shift = _norm_and_shift(group, m, generator)
-
-    def lattice(of: IntMatrix) -> IntMatrix:
-        stacked = of.hstack(m.relations.neg())
-        ker = kernel_basis(stacked)
-        span = IntMatrix(n, ker.cols, ker.data[:n])
-        h, _, pivots = span.hermite()
-        return IntMatrix.from_columns(n, [h.column(c) for _, c in pivots])
-
     if degree == 0:
-        return subquotient_invariants(Subquotient(n, lattice(shift), m.relations))
+        return subquotient_invariants(Subquotient(n, cycle_lattice(shift, m.relations), m.relations))
     if degree % 2:
-        cycles = lattice(norm)
+        cycles = cycle_lattice(norm, m.relations)
         boundaries = shift.hstack(m.relations)
     else:
-        cycles = lattice(shift)
+        cycles = cycle_lattice(shift, m.relations)
         boundaries = norm.hstack(m.relations)
     return subquotient_invariants(Subquotient(n, cycles, boundaries))
 

@@ -30,10 +30,11 @@ from .intmatrix import (
     AbelianInvariants,
     IntMatrix,
     Subquotient,
-    kernel_basis,
+    cycle_lattice,
     smith_normal_form,
     solve_integer,
     subquotient_invariants,
+    subquotient_relations,
     unimodular_inverse,
 )
 from .modules import (
@@ -235,12 +236,7 @@ def cohomology(c: BoundedComplex, i: int):
     if n == 0:
         empty = Subquotient(0, IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
         return empty, AbelianInvariants(0)
-    nxt = c.term(i + 1)
-    stacked = c.differential(i).matrix.hstack(nxt.relations.neg())
-    ker = kernel_basis(stacked)
-    span = IntMatrix(n, ker.cols, ker.data[:n])
-    h, _, pivots = span.hermite()
-    cycles = IntMatrix.from_columns(n, [h.column(col) for _, col in pivots])
+    cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
     boundaries = c.differential(i - 1).matrix.hstack(m.relations)
     sq = Subquotient(n, cycles, boundaries)
     return sq, subquotient_invariants(sq)
@@ -367,14 +363,7 @@ def _canonical_class_generators(c: BoundedComplex, i: int) -> list:
     cyc = sq.cycles
     if cyc.cols == 0:
         return []
-    coord_cols = []
-    for j in range(sq.boundaries.cols):
-        x = solve_integer(cyc, sq.boundaries.column(j))
-        if x is None:
-            raise ExactnessViolation("boundaries escaped the cycle lattice")
-        coord_cols.append(x)
-    rel = kernel_basis(cyc).hstack(IntMatrix.from_columns(cyc.cols, coord_cols))
-    s = smith_normal_form(rel)
+    s = smith_normal_form(subquotient_relations(sq))
     diag = s.diagonal()
     u_inv = unimodular_inverse(s.u)
     gens = []
@@ -439,11 +428,7 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
 
     # final stage: adjoin the cycle lattice sitting below the support
     bottom = current.term(lo - 1)  # equals the module attached for degree lo
-    stacked = current.differential(lo - 1).matrix.hstack(current.term(lo).relations.neg())
-    ker = kernel_basis(stacked)
-    span = IntMatrix(bottom.gens, ker.cols, ker.data[: bottom.gens])
-    h, _, pivots = span.hermite()
-    basis = IntMatrix.from_columns(bottom.gens, [h.column(c) for _, c in pivots])
+    basis = cycle_lattice(current.differential(lo - 1).matrix, current.term(lo).relations)
     rank = basis.cols
     action = []
     for g in range(group.order):

@@ -7,6 +7,8 @@ intended scale (order <= ~48).
 
 from __future__ import annotations
 
+import math
+
 from .errors import NotASubgroup, ValidationError
 
 
@@ -105,7 +107,7 @@ class FiniteGroup:
             return cls.trivial()
         transposition = tuple([1, 0] + list(range(2, n)))
         cycle = tuple(list(range(1, n)) + [0])
-        group, _ = cls.from_permutations([transposition, cycle], cap=max(48, 1 << n))
+        group, _ = cls.from_permutations([transposition, cycle], cap=math.factorial(n))
         return group
 
     def direct_product(self, other: "FiniteGroup") -> "FiniteGroup":

@@ -3,8 +3,9 @@
 Matrices are immutable row-major arrays of Python ints; columns are the
 images of generators, so `im(A)` always means the column span.  Everything
 downstream (modules, complexes, cohomology) reduces to the operations in
-this module: Smith and Hermite forms, integer kernels, image membership,
-and elementary-divisor invariants of cokernels and subquotients.
+this module: Smith and Hermite forms, integer kernels, cycle lattices,
+image membership, and elementary-divisor invariants of cokernels and
+subquotients.
 """
 
 from __future__ import annotations
@@ -255,6 +256,21 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(a.cols, [v.column(j) for j in range(first_free, a.cols)])
 
 
+def cycle_lattice(d: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
+    """Hermite basis of {x : d*x lies in the column span of target_relations}.
+
+    The kernel of [d | -target_relations], projected onto its first d.cols
+    coordinates.  Without relation columns d is eliminated as it is, so no
+    stacked copy sits next to it.
+    """
+    n = d.cols
+    stacked = d.hstack(target_relations.neg()) if target_relations.cols else d
+    ker = kernel_basis(stacked)
+    span = IntMatrix(n, ker.cols, ker.data[:n])
+    h, _, pivots = span.hermite()
+    return IntMatrix.from_columns(n, [h.column(c) for _, c in pivots])
+
+
 def solve_integer(a: IntMatrix, b) -> list | None:
     """An integer solution x of a*x == b, or None if none exists."""
     b = list(b)
@@ -288,8 +304,8 @@ def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:
     return invariants_from_diagonal(smith_diagonal(a), a.rows)
 
 
-def subquotient_invariants(s: Subquotient) -> AbelianInvariants:
-    """Invariants of the quotient of the cycle lattice by the boundaries.
+def subquotient_relations(s: Subquotient) -> IntMatrix:
+    """Relations presenting the subquotient on the cycle columns.
 
     Boundary columns are rewritten in cycle coordinates (raising
     BoundaryNotInCycles when impossible); redundancy among the cycle
@@ -302,8 +318,12 @@ def subquotient_invariants(s: Subquotient) -> AbelianInvariants:
         if x is None:
             raise BoundaryNotInCycles(f"boundary column {j} is outside the cycle lattice")
         coord_cols.append(x)
-    rel = kernel_basis(s.cycles).hstack(IntMatrix.from_columns(k, coord_cols))
-    return cokernel_invariants(rel)
+    return kernel_basis(s.cycles).hstack(IntMatrix.from_columns(k, coord_cols))
+
+
+def subquotient_invariants(s: Subquotient) -> AbelianInvariants:
+    """Invariants of the quotient of the cycle lattice by the boundaries."""
+    return cokernel_invariants(subquotient_relations(s))
 
 
 def determinant(a: IntMatrix) -> int:

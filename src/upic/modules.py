@@ -14,7 +14,7 @@ from .intmatrix import (
     IntMatrix,
     AbelianInvariants,
     cokernel_invariants,
-    kernel_basis,
+    cycle_lattice,
     smith_normal_form,
     solve_integer,
     unimodular_inverse,
@@ -62,11 +62,7 @@ class PresentedModule:
 
     def stabilizer(self, vec) -> list:
         """Elements g with g*vec congruent to vec."""
-        return [
-            g
-            for g in range(self.group.order)
-            if self.in_relations([a - b for a, b in zip(self.action[g].apply(vec), vec)])
-        ]
+        return [g for g in range(self.group.order) if self.congruent(self.action[g].apply(vec), vec)]
 
     def __eq__(self, other):
         return (
@@ -100,13 +96,6 @@ def validate_module(m: PresentedModule) -> list:
             if not m.matrix_congruent(m.action_of(g).mul(m.action_of(h)), m.action_of(gh)):
                 out.append(f"action({g})*action({h}) differs from action({gh}) modulo relations")
     return out
-
-
-def require_valid(m: PresentedModule) -> PresentedModule:
-    violations = validate_module(m)
-    if violations:
-        raise ValidationError(violations)
-    return m
 
 
 def zero_module(group: FiniteGroup) -> PresentedModule:
@@ -293,11 +282,7 @@ class ModuleMap:
 
     def kernel_lattice(self) -> IntMatrix:
         """Basis of {x : matrix*x lies in the target relation lattice}."""
-        stacked = self.matrix.hstack(self.target.relations.neg())
-        ker = kernel_basis(stacked)
-        span = IntMatrix(self.source.gens, ker.cols, [ker.data[i] for i in range(self.source.gens)])
-        h, _, pivots = span.hermite()
-        return IntMatrix.from_columns(self.source.gens, [h.column(c) for _, c in pivots])
+        return cycle_lattice(self.matrix, self.target.relations)
 
     def is_injective(self) -> bool:
         k = self.kernel_lattice()

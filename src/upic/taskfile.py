@@ -212,6 +212,10 @@ class BuiltTasks:
 
         for idx, task in enumerate(tf.tasks, start=1):
             op = task["op"]
+            if op in ("group_cohomology", "hypercohomology"):
+                degree = task.get("degree", 1)
+                if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+                    raise ValidationError([f"task {idx} ({op}): degree must be a nonnegative integer"])
             if op in ("pic", "brauer_a", "upic_dual", "topological_report", "hypercohomology"):
                 if task.get("data") not in self.homspace:
                     raise ValidationError([f"task {idx} ({op}): unknown homspace data {task.get('data')!r}"])
@@ -221,8 +225,6 @@ class BuiltTasks:
             elif op == "group_cohomology":
                 if task.get("module") not in self.modules:
                     raise ValidationError([f"task {idx} ({op}): unknown module {task.get('module')!r}"])
-                if not isinstance(task.get("degree", 1), int) or task.get("degree", 1) < 0:
-                    raise ValidationError([f"task {idx} ({op}): degree must be a nonnegative integer"])
         self.tasks = tf.tasks
 
     def _module(self, name, what) -> PresentedModule:
@@ -234,15 +236,3 @@ class BuiltTasks:
         if name not in self.maps:
             raise ValidationError([f"{what}: unknown map {name!r}"])
         return self.maps[name]
-
-
-def module_to_spec(m: PresentedModule, generator_indices) -> dict:
-    return {
-        "gens": m.gens,
-        "relations": m.relations.data if m.relations.cols else [],
-        "action": [m.action_of(g).data for g in generator_indices],
-    }
-
-
-def map_to_spec(f: ModuleMap, source: str, target: str) -> dict:
-    return {"source": source, "target": target, "matrix": f.matrix.data if f.matrix.rows else []}

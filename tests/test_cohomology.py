@@ -167,13 +167,15 @@ class TestHyper:
             assert hypercohomology(C2, zero_complex(C2), i).is_trivial
 
     def test_reduces_to_group_cohomology(self, rng):
+        # a one-term complex in degree 0 gives the group cohomology of its
+        # module, checked against the cochain-free cyclic closed form
         from conftest import random_cyclic_module
 
         for n in (2, 3, 4):
             g = FiniteGroup.cyclic(n)
             m = random_cyclic_module(n, rng, max_rank=3)
             for i in (0, 1, 2):
-                assert hypercohomology(g, one_term(m, 0), i) == group_cohomology(g, m, i)
+                assert hypercohomology(g, one_term(m, 0), i) == cyclic_oracle(g, m, i)
 
     def test_shifted_one_term(self):
         # coefficients concentrated in degree 1: H^i = H^(i-1) of the module

@@ -39,6 +39,9 @@ class TestFiniteGroup:
         assert s3.cyclic_generator() is None
         assert sorted(s3.element_order(g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
 
+    def test_symmetric_5(self):
+        assert FiniteGroup.symmetric(5).order == 120
+
     def test_from_permutations_deterministic(self):
         g1, gens1 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
         g2, gens2 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])

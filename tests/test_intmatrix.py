@@ -11,6 +11,7 @@ from upic.intmatrix import (
     IntMatrix,
     Subquotient,
     cokernel_invariants,
+    cycle_lattice,
     determinant,
     is_unimodular,
     kernel_basis,
@@ -150,6 +151,26 @@ def test_kernel_basis_annihilates():
         s = smith_normal_form(a)
         rank = len([d for d in s.diagonal() if d])
         assert k.cols == n - rank
+
+
+def test_cycle_lattice_properties():
+    rng = random.Random(8)
+    for trial in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        k = rng.randint(1, 3) if trial % 2 else 0  # relation columns on odd trials only
+        d = IntMatrix(m, n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        rel = IntMatrix(m, k, [[rng.choice([0, 0, 2, 3, -2]) for _ in range(k)] for _ in range(m)])
+        z = cycle_lattice(d, rel)
+        assert z.rows == n
+        # every basis vector is a cycle: d*x lies in the span of the relations
+        for j in range(z.cols):
+            assert solve_integer(rel, d.apply(z.column(j))) is not None
+        # every cycle is reached: the projected kernel of [d | -rel] lies in the span
+        ker = kernel_basis(d.hstack(rel.neg()))
+        for j in range(ker.cols):
+            assert solve_integer(z, ker.column(j)[:n]) is not None
+        # the basis is already in column Hermite form
+        assert z.hermite()[0] == z
 
 
 def test_unimodular_inverse():

@@ -151,6 +151,23 @@ class TestCLI:
         assert code == 3
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"op": "hypercohomology", "data": "D", "degree": "two"},
+            {"op": "group_cohomology", "module": "XT", "degree": True},
+        ],
+    )
+    def test_bad_degree_exit_3(self, capsys, tmp_path, task):
+        doc = fixture_doc("norm_one_2")
+        doc["tasks"] = [task]
+        p = tmp_path / "degree.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code == 3
+        assert "degree must be a nonnegative integer" in err
+        assert out == ""
+
     def test_task_error_exit_4_and_no_partial_output(self, capsys, tmp_path):
         doc = fixture_doc("norm_one_2")
         doc["tasks"] = [{"op": "group_cohomology", "module": "XT", "degree": 9}]
