@@ -1,27 +1,19 @@
 """Kernel backend selection.
 
 The compiled extension (`upic._kernels`, built from `_kernels.pyx`) is used
-when it imports cleanly; otherwise the pure-Python twin takes over.  Set
-UPIC_PURE_KERNELS=1 to force the pure backend regardless.
+when it imports cleanly; otherwise the pure-Python twin takes over.
 """
 
 from __future__ import annotations
 
-import os
+try:
+    from . import _kernels as kernels  # type: ignore[attr-defined]
 
-if os.environ.get("UPIC_PURE_KERNELS"):
+    COMPILED = True
+except ImportError:
     from . import _kernels_py as kernels
 
     COMPILED = False
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-
-        COMPILED = True
-    except ImportError:
-        from . import _kernels_py as kernels
-
-        COMPILED = False
 
 
 def backend_name() -> str:

@@ -26,9 +26,10 @@ from .cohomology import (
     group_cohomology,
     hypercohomology,
 )
+from .complexes import one_term
 from .errors import BudgetExceeded, TaskError, TaskFileError, UpicError, ValidationError
 from .homspace import brauer_a, pic, topological_report, upic_complex, upic_dual, verify_torus_comparison
-from .taskfile import BuiltTasks, parse_task_file
+from .taskfile import OPS, BuiltTasks, parse_task_file, parse_task_text
 
 TOOL = f"upic {__version__}"
 
@@ -69,66 +70,61 @@ def _oracle_check(group, complex_, degree, value):
     return f"{used} agreed"
 
 
+# pic and brauer_a are hypercohomology in a fixed degree; the raw ops take the task's
+_FIXED_DEGREE = {"pic": 1, "brauer_a": 2}
+
+
+def _degree(task: dict) -> int:
+    return _FIXED_DEGREE.get(task["op"], task.get("degree", 1))
+
+
 def _run_one(built: BuiltTasks, task: dict, degree_bound: int, oracle: bool) -> dict:
     op = task["op"]
+    arg = built.input_of(task)
     record = {"task": task, "tool": TOOL}
-    if op in ("pic", "brauer_a", "upic_dual", "topological_report", "hypercohomology"):
-        name = task.get("data")
-        if name not in built.homspace:
-            raise ValidationError([f"task {op}: unknown homspace data {name!r}"])
-        data = built.homspace[name]
-        if op == "pic":
-            rep = pic(data, degree_bound)
-            record.update(result=rep.render(), caveat=rep.caveat, assumes_pic_trivial=rep.assume_pic_trivial)
-            if oracle:
-                record["oracle"] = _oracle_check(built.group, upic_complex(data), 1, rep.value)
-        elif op == "brauer_a":
-            rep = brauer_a(data, degree_bound)
-            record.update(result=rep.render(), caveat=rep.caveat, assumes_pic_trivial=rep.assume_pic_trivial)
-            if oracle:
-                record["oracle"] = _oracle_check(built.group, upic_complex(data), 2, rep.value)
+    if op in ("pic", "brauer_a", "hypercohomology", "group_cohomology"):
+        degree = _degree(task)
+        if op == "group_cohomology":
+            value = group_cohomology(built.group, arg, degree, degree_bound)
         elif op == "hypercohomology":
-            degree = task.get("degree", 1)
-            value = hypercohomology(built.group, upic_complex(data), degree, degree_bound)
-            record.update(result=value.render())
-            if oracle:
-                record["oracle"] = _oracle_check(built.group, upic_complex(data), degree, value)
-        elif op == "upic_dual":
-            rep = upic_dual(data)
-            record.update(
-                result=rep.render(),
-                detail={
-                    "h0": rep.h0.render(),
-                    "hminus1": rep.hminus1.render(),
-                    "kernel": rep.kernel_invariants.render(),
-                    "cokernel": rep.cokernel_invariants.render(),
-                    "stabilizer_torsion": rep.stabilizer_torsion.render(),
-                },
-                assumes_pic_trivial=rep.assume_pic_trivial,
-            )
-            if oracle:
-                record["oracle"] = "dual sequence bookkeeping verified internally"
+            value = hypercohomology(built.group, upic_complex(arg), degree, degree_bound)
         else:
-            rep = topological_report(
-                data,
-                bool(task.get("stabilizer_connected", False)),
-                bool(task.get("condition_h1", False)),
-            )
-            record.update(
-                result=rep.render(),
-                detail={
-                    "h0": rep.h0.render(),
-                    "hminus1": rep.hminus1.render(),
-                    "h0_label": rep.h0_label,
-                    "hminus1_label": rep.hminus1_label,
-                    "note": rep.note,
-                },
-            )
-    elif op == "verify_torus_comparison":
-        name = task.get("data")
-        if name not in built.comparisons:
-            raise ValidationError([f"task {op}: unknown comparison data {name!r}"])
-        rep = verify_torus_comparison(built.comparisons[name])
+            rep = (pic if op == "pic" else brauer_a)(arg, degree_bound)
+            value = rep.value
+            record.update(caveat=rep.caveat, assumes_pic_trivial=rep.assume_pic_trivial)
+        record["result"] = value.render()
+        if oracle:
+            coeffs = one_term(arg, 0) if op == "group_cohomology" else upic_complex(arg)
+            record["oracle"] = _oracle_check(built.group, coeffs, degree, value)
+    elif op == "upic_dual":
+        rep = upic_dual(arg)
+        record.update(
+            result=rep.render(),
+            detail={
+                "h0": rep.h0.render(),
+                "hminus1": rep.hminus1.render(),
+                "kernel": rep.kernel_invariants.render(),
+                "cokernel": rep.cokernel_invariants.render(),
+                "stabilizer_torsion": rep.stabilizer_torsion.render(),
+            },
+            assumes_pic_trivial=rep.assume_pic_trivial,
+        )
+        if oracle:
+            record["oracle"] = "dual sequence bookkeeping verified internally"
+    elif op == "topological_report":
+        rep = topological_report(arg, task.get("stabilizer_connected", False), task.get("condition_h1", False))
+        record.update(
+            result=rep.render(),
+            detail={
+                "h0": rep.h0.render(),
+                "hminus1": rep.hminus1.render(),
+                "h0_label": rep.h0_label,
+                "hminus1_label": rep.hminus1_label,
+                "note": rep.note,
+            },
+        )
+    else:
+        rep = verify_torus_comparison(arg)
         record.update(
             result="true" if rep.verdict else "false",
             detail={
@@ -137,30 +133,15 @@ def _run_one(built: BuiltTasks, task: dict, degree_bound: int, oracle: bool) -> 
                 "quasi_isomorphisms": rep.quasi_iso,
             },
         )
-    elif op == "group_cohomology":
-        name = task.get("module")
-        if name not in built.modules:
-            raise ValidationError([f"task {op}: unknown module {name!r}"])
-        degree = task.get("degree", 1)
-        m = built.modules[name]
-        value = group_cohomology(built.group, m, degree, degree_bound)
-        record.update(result=value.render())
-        if oracle:
-            from .complexes import one_term
-
-            record["oracle"] = _oracle_check(built.group, one_term(m, 0), degree, value)
-    else:
-        raise ValidationError([f"unknown task op {op!r}"])
     return record
 
 
 def _describe(task: dict) -> str:
     op = task["op"]
-    if op == "group_cohomology":
-        return f"H^{task.get('degree', 1)}({task.get('module')})"
-    if op == "hypercohomology":
-        return f"H^{task.get('degree', 1)}({task.get('data')})"
-    return f"{op}({task.get('data')})"
+    name = task[OPS[op][0]]
+    if op in ("group_cohomology", "hypercohomology"):
+        return f"H^{_degree(task)}({name})"
+    return f"{op}({name})"
 
 
 def run_tasks(built: BuiltTasks, degree_bound: int, oracle: bool) -> list:
@@ -260,8 +241,6 @@ def _cmd_fixtures(args) -> int:
         for name, desc in FIXTURES.items():
             print(f"{name}: {desc}")
         return 0
-    from .taskfile import parse_task_text
-
     failures = []
     for name in FIXTURES:
         tf = parse_task_text(fixture_text(name))

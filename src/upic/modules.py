@@ -48,9 +48,12 @@ class PresentedModule:
     def congruent(self, x, y) -> bool:
         return self.in_relations([a - b for a, b in zip(x, y)])
 
+    def contains_columns(self, a: IntMatrix) -> bool:
+        """Every column of `a` is zero in the module (lies in the relation lattice)."""
+        return all(self.in_relations(a.column(j)) for j in range(a.cols))
+
     def matrix_congruent(self, a: IntMatrix, b: IntMatrix) -> bool:
-        diff = a.sub(b)
-        return all(self.in_relations(diff.column(j)) for j in range(diff.cols))
+        return self.contains_columns(a.sub(b))
 
     def torsion_free(self) -> bool:
         from .intmatrix import smith_diagonal
@@ -87,8 +90,7 @@ def validate_module(m: PresentedModule) -> list:
     if not m.matrix_congruent(m.action_of(m.group.identity), ident):
         out.append("action of the identity is not the identity modulo relations")
     for g in range(m.group.order):
-        ag_rel = m.action_of(g).mul(m.relations)
-        if not all(m.in_relations(ag_rel.column(j)) for j in range(ag_rel.cols)):
+        if not m.contains_columns(m.action_of(g).mul(m.relations)):
             out.append(f"action of element {g} does not preserve the relation lattice")
     for g in range(m.group.order):
         for h in range(m.group.order):
@@ -259,8 +261,7 @@ class ModuleMap:
 
     def validate(self) -> list:
         out = []
-        img_rel = self.matrix.mul(self.source.relations)
-        if not all(self.target.in_relations(img_rel.column(j)) for j in range(img_rel.cols)):
+        if not self.target.contains_columns(self.matrix.mul(self.source.relations)):
             out.append("map does not send source relations into target relations")
         for g in range(self.source.group.order):
             lhs = self.matrix.mul(self.source.action_of(g))
@@ -285,8 +286,7 @@ class ModuleMap:
         return cycle_lattice(self.matrix, self.target.relations)
 
     def is_injective(self) -> bool:
-        k = self.kernel_lattice()
-        return all(self.source.in_relations(k.column(j)) for j in range(k.cols))
+        return self.source.contains_columns(self.kernel_lattice())
 
     def is_surjective(self) -> bool:
         wide = self.matrix.hstack(self.target.relations)
@@ -296,7 +296,7 @@ class ModuleMap:
         )
 
     def is_zero_map(self) -> bool:
-        return all(self.target.in_relations(self.matrix.column(j)) for j in range(self.matrix.cols))
+        return self.target.contains_columns(self.matrix)
 
     def __eq__(self, other):
         return (

@@ -20,15 +20,17 @@ from .modules import ModuleMap, PresentedModule, validate_module
 
 FORMAT_TAG = "upic-task-v1"
 
-KNOWN_OPS = (
-    "pic",
-    "brauer_a",
-    "upic_dual",
-    "topological_report",
-    "verify_torus_comparison",
-    "group_cohomology",
-    "hypercohomology",
-)
+# Every op, with the task field naming its input and the file section that
+# input must exist in.  Parse, build and the command line all read this.
+OPS = {
+    "pic": ("data", "homspace"),
+    "brauer_a": ("data", "homspace"),
+    "upic_dual": ("data", "homspace"),
+    "topological_report": ("data", "homspace"),
+    "hypercohomology": ("data", "homspace"),
+    "verify_torus_comparison": ("data", "comparisons"),
+    "group_cohomology": ("module", "modules"),
+}
 
 
 class TaskFile:
@@ -73,10 +75,13 @@ def _require(cond, msg):
 
 
 def _as_matrix(obj, rows, what) -> IntMatrix:
-    _require(isinstance(obj, list), f"{what}: expected a nested array")
+    """`obj` as a `rows`-row integer matrix; `rows=None` takes any non-zero row count."""
+    _require(isinstance(obj, list) and all(isinstance(r, list) for r in obj), f"{what}: expected a nested array")
+    if rows is None:
+        _require(obj, f"{what}: expected a non-empty nested array")
+        rows = len(obj)
     if not obj:
         return IntMatrix.zeros(rows, 0)
-    _require(all(isinstance(r, list) for r in obj), f"{what}: expected a nested array")
     width = len(obj[0])
     _require(all(len(r) == width for r in obj), f"{what}: ragged rows")
     for r in obj:
@@ -84,6 +89,12 @@ def _as_matrix(obj, rows, what) -> IntMatrix:
             _require(isinstance(x, int) and not isinstance(x, bool), f"{what}: entries must be exact integers")
     _require(len(obj) == rows, f"{what}: expected {rows} rows, got {len(obj)}")
     return IntMatrix(rows, width, obj)
+
+
+def _flag(spec: dict, key: str, default: bool, what: str) -> bool:
+    value = spec.get(key, default)
+    _require(isinstance(value, bool), f"{what}: {key!r} must be true or false")
+    return value
 
 
 def parse_task_text(text: str) -> TaskFile:
@@ -99,20 +110,27 @@ def parse_task_text(text: str) -> TaskFile:
         ("table" in group_spec) != ("permutations" in group_spec),
         "group needs exactly one of 'table' or 'permutations'",
     )
+    for key in ("table", "permutations"):
+        if key in group_spec:
+            _as_matrix(group_spec[key], None, f"group {key}")
     generators = doc.get("generators")
+    _require(generators is None or isinstance(generators, list), "'generators' must be a list")
     modules = doc.get("modules", {})
     maps = doc.get("maps", {})
     homspace = doc.get("homspace", {})
     comparisons = doc.get("comparisons", {})
     tasks = doc.get("tasks", [])
-    _require(isinstance(modules, dict), "'modules' must be an object")
-    _require(isinstance(maps, dict), "'maps' must be an object")
-    _require(isinstance(homspace, dict), "'homspace' must be an object")
-    _require(isinstance(comparisons, dict), "'comparisons' must be an object")
+    for key, section in (("modules", modules), ("maps", maps), ("homspace", homspace), ("comparisons", comparisons)):
+        _require(isinstance(section, dict), f"{key!r} must be an object")
+        for name, spec in section.items():
+            _require(isinstance(spec, dict), f"{key} {name}: entry must be an object")
     _require(isinstance(tasks, list), "'tasks' must be a list")
-    for t in tasks:
+    for idx, t in enumerate(tasks, start=1):
         _require(isinstance(t, dict) and "op" in t, "each task needs an 'op' field")
-        _require(t["op"] in KNOWN_OPS, f"unknown op {t['op']!r} (known: {', '.join(KNOWN_OPS)})")
+        op = t["op"]
+        _require(isinstance(op, str) and op in OPS, f"unknown op {op!r} (known: {', '.join(OPS)})")
+        for key in ("stabilizer_connected", "condition_h1"):
+            _flag(t, key, False, f"task {idx} ({op})")
     return TaskFile(group_spec, generators, modules, maps, homspace, comparisons, tasks)
 
 
@@ -146,14 +164,13 @@ class BuiltTasks:
     def __init__(self, tf: TaskFile):
         if "table" in tf.group_spec:
             group = FiniteGroup(tf.group_spec["table"])
-            gen_indices = tf.generators if tf.generators is not None else list(range(group.order))
+            gen_indices = list(range(group.order))
         else:
-            cap = tf.group_spec.get("cap", 48)
-            group, gen_indices = FiniteGroup.from_permutations(tf.group_spec["permutations"], cap=cap)
-            if tf.generators is not None:
-                gen_indices = tf.generators
+            group, gen_indices = FiniteGroup.from_permutations(tf.group_spec["permutations"])
+        if tf.generators is not None:
+            gen_indices = tf.generators
         for g in gen_indices:
-            if not (isinstance(g, int) and 0 <= g < group.order):
+            if not (type(g) is int and 0 <= g < group.order):
                 raise ValidationError([f"generator index {g} out of range"])
         self.group = group
         self.generator_indices = gen_indices
@@ -161,11 +178,11 @@ class BuiltTasks:
         self.modules = {}
         for name, spec in tf.modules.items():
             gens = spec.get("gens")
-            _require(isinstance(gens, int) and gens >= 0, f"module {name}: integer 'gens' required")
+            _require(type(gens) is int and gens >= 0, f"module {name}: integer 'gens' required")
             relations = _as_matrix(spec.get("relations", []), gens, f"module {name} relations")
             action_list = spec.get("action", [])
             _require(
-                len(action_list) == len(gen_indices),
+                isinstance(action_list, list) and len(action_list) == len(gen_indices),
                 f"module {name}: need one action matrix per generator ({len(gen_indices)})",
             )
             gen_mats = [_as_matrix(a, gens, f"module {name} action") for a in action_list]
@@ -180,8 +197,8 @@ class BuiltTasks:
 
         self.maps = {}
         for name, spec in tf.maps.items():
-            src = self._module(spec.get("source"), f"map {name} source")
-            tgt = self._module(spec.get("target"), f"map {name} target")
+            src = self._ref("modules", spec.get("source"), f"map {name} source")
+            tgt = self._ref("modules", spec.get("target"), f"map {name} target")
             mat = _as_matrix(spec.get("matrix", []), tgt.gens, f"map {name} matrix")
             if tgt.gens == 0:
                 mat = IntMatrix.zeros(0, src.gens)
@@ -194,20 +211,21 @@ class BuiltTasks:
 
         self.homspace = {}
         for name, spec in tf.homspace.items():
-            xg = self._module(spec.get("xg"), f"homspace {name} xg")
-            xh = self._module(spec.get("xh"), f"homspace {name} xh")
-            res = self._map(spec.get("res"), f"homspace {name} res")
             self.homspace[name] = HomSpaceData(
-                self.group, xg, xh, res, bool(spec.get("assume_pic_trivial", True))
+                self.group,
+                self._ref("modules", spec.get("xg"), f"homspace {name} xg"),
+                self._ref("modules", spec.get("xh"), f"homspace {name} xh"),
+                self._ref("maps", spec.get("res"), f"homspace {name} res"),
+                _flag(spec, "assume_pic_trivial", True, f"homspace {name}"),
             )
 
         self.comparisons = {}
         for name, spec in tf.comparisons.items():
             kw = {}
             for field in ("xg_prime", "xm", "xt", "xt_prime", "xtsc"):
-                kw[field] = self._module(spec.get(field), f"comparison {name} {field}")
+                kw[field] = self._ref("modules", spec.get(field), f"comparison {name} {field}")
             for field in ("res_gm", "mu_m", "mu_sc", "rho", "down", "up"):
-                kw[field] = self._map(spec.get(field), f"comparison {name} {field}")
+                kw[field] = self._ref("maps", spec.get(field), f"comparison {name} {field}")
             self.comparisons[name] = TorusComparisonData(group=self.group, **kw)
 
         for idx, task in enumerate(tf.tasks, start=1):
@@ -216,23 +234,16 @@ class BuiltTasks:
                 degree = task.get("degree", 1)
                 if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
                     raise ValidationError([f"task {idx} ({op}): degree must be a nonnegative integer"])
-            if op in ("pic", "brauer_a", "upic_dual", "topological_report", "hypercohomology"):
-                if task.get("data") not in self.homspace:
-                    raise ValidationError([f"task {idx} ({op}): unknown homspace data {task.get('data')!r}"])
-            elif op == "verify_torus_comparison":
-                if task.get("data") not in self.comparisons:
-                    raise ValidationError([f"task {idx} ({op}): unknown comparison data {task.get('data')!r}"])
-            elif op == "group_cohomology":
-                if task.get("module") not in self.modules:
-                    raise ValidationError([f"task {idx} ({op}): unknown module {task.get('module')!r}"])
+            self.input_of(task, f"task {idx} ({op})")
         self.tasks = tf.tasks
 
-    def _module(self, name, what) -> PresentedModule:
-        if name not in self.modules:
-            raise ValidationError([f"{what}: unknown module {name!r}"])
-        return self.modules[name]
+    def input_of(self, task: dict, what: str = "task"):
+        """The built object that `task` reads: `OPS` names its field and section."""
+        field, section = OPS[task["op"]]
+        return self._ref(section, task.get(field), f"{what} {field}")
 
-    def _map(self, name, what) -> ModuleMap:
-        if name not in self.maps:
-            raise ValidationError([f"{what}: unknown map {name!r}"])
-        return self.maps[name]
+    def _ref(self, section: str, name, what: str):
+        entries = getattr(self, section)
+        if not isinstance(name, str) or name not in entries:
+            raise ValidationError([f"{what}: no {section} entry named {name!r}"])
+        return entries[name]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upic import _kernels_py
-from upic._backend import kernels
 from upic.errors import BoundaryNotInCycles
 from upic.intmatrix import (
     AbelianInvariants,
@@ -198,10 +197,52 @@ def test_invariants_canonical_form():
         AbelianInvariants(0, [1])
 
 
+def check_kernel_contracts(k, rows, m, n):
+    a = IntMatrix(m, n, rows)
+    d, u, v = k.snf(rows, m, n, True)
+    u, v = IntMatrix(m, m, u), IntMatrix(n, n, v)
+    assert u.mul(a).mul(v) == IntMatrix(m, n, d)
+    assert is_unimodular(u) and is_unimodular(v)
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [d[i][i] for i in range(min(m, n))]
+    assert all(x >= 0 for x in diag)
+    assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+
+    h, v, pivots = k.hnf_cols(rows, m, n)
+    v = IntMatrix(n, n, v)
+    assert a.mul(v) == IntMatrix(m, n, h)
+    assert is_unimodular(v)
+    assert [c for _, c in pivots] == list(range(len(pivots)))
+    assert all(r1 < r2 for (r1, _), (r2, _) in zip(pivots, pivots[1:]))
+    for r, c in pivots:
+        p = h[r][c]
+        assert p > 0
+        assert all(h[i][c] == 0 for i in range(r))
+        assert all(0 <= h[r][j] < p for j in range(c))
+    assert all(h[i][j] == 0 for i in range(m) for j in range(len(pivots), n))
+
+
 def test_backends_agree():
+    """Each importable kernel backend meets the Smith/Hermite contracts; two backends give equal output."""
+    backends = [_kernels_py]
+    try:
+        from upic import _kernels
+    except ImportError:
+        pass
+    else:
+        backends.append(_kernels)
     rng = random.Random(7)
-    for _ in range(25):
+    for trial in range(40):
         m, n = rng.randint(0, 6), rng.randint(0, 6)
-        rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
-        assert tuple(kernels.snf(rows, m, n, True)) == tuple(_kernels_py.snf(rows, m, n, True))
-        assert tuple(kernels.hnf_cols(rows, m, n)) == tuple(_kernels_py.hnf_cols(rows, m, n))
+        if trial % 2:  # rank at most r, so zero divisors and non-pivot rows occur
+            r = rng.randint(0, 3)
+            left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(row[t] * right[t][j] for t in range(r)) for j in range(n)] for row in left]
+        else:
+            rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
+        for k in backends:
+            check_kernel_contracts(k, rows, m, n)
+        for k in backends[1:]:
+            assert tuple(k.snf(rows, m, n, True)) == tuple(backends[0].snf(rows, m, n, True))
+            assert tuple(k.hnf_cols(rows, m, n)) == tuple(backends[0].hnf_cols(rows, m, n))

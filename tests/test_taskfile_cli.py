@@ -168,6 +168,41 @@ class TestCLI:
         assert "degree must be a nonnegative integer" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("group",), {"table": 5}),
+            (("group",), {"table": [5]}),
+            (("group",), {"table": [[0.0]]}),
+            (("group",), {"permutations": 5}),
+            (("group",), {"permutations": []}),
+            (("generators",), 1),
+            (("generators",), [True]),
+            (("modules", "XT"), 5),
+            (("maps", "res"), 5),
+            (("homspace", "D"), 5),
+            (("comparisons",), {"T": 5}),
+            (("modules", "XT", "action"), 5),
+            (("modules", "XT", "gens"), True),
+            (("maps", "res", "source"), ["XT"]),
+            (("tasks",), [{"op": "pic", "data": ["D"]}]),
+            (("homspace", "D", "assume_pic_trivial"), "no"),
+            (("tasks",), [{"op": "topological_report", "data": "D", "stabilizer_connected": "false"}]),
+        ],
+    )
+    def test_malformed_input_exits_cleanly(self, capsys, tmp_path, path, value):
+        doc = fixture_doc("norm_one_2")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        p = tmp_path / "malformed.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code in (2, 3)
+        assert out == ""
+        assert "Traceback" not in err
+
     def test_task_error_exit_4_and_no_partial_output(self, capsys, tmp_path):
         doc = fixture_doc("norm_one_2")
         doc["tasks"] = [{"op": "group_cohomology", "module": "XT", "degree": 9}]
