@@ -3,7 +3,8 @@ bundled fixture library.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 task error.
 Human-readable results go to stdout; `--out` additionally writes a
-machine-readable JSON record list (only on success, never partially).
+machine-readable JSON record list (only on success, never partially),
+before the listing: a run whose records cannot be written prints none.
 `--oracle on` cross-checks every cohomology result against whichever
 independent oracle applies (cyclic closed form, finite enumeration) and
 fails with exit code 4 on any mismatch.
@@ -189,7 +190,6 @@ def _cmd_run(args) -> int:
     except UpicError as e:
         print(f"task error: {e}", file=sys.stderr)
         return 4
-    _print_records(records)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -198,6 +198,7 @@ def _cmd_run(args) -> int:
         except OSError as e:
             print(f"task error: cannot write {args.out}: {e}", file=sys.stderr)
             return 4
+    _print_records(records)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Finite groups given by multiplication tables.
 
 Elements are indices 0..order-1.  Tables are validated on construction
-(associativity, two-sided identity, inverses), which is affordable at the
-intended scale (order <= ~48).
+(associativity, two-sided identity, inverses), which is cubic in the
+order and affordable at the intended scale: task files are capped at
+ORDER_CAP elements.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 
 from .errors import NotASubgroup, ValidationError
+
+# Largest group a task file may declare, by table or by permutations.
+ORDER_CAP = 48
 
 
 class FiniteGroup:
@@ -63,7 +67,7 @@ class FiniteGroup:
         return cls([[(i + j) % n for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_permutations(cls, perms, cap: int = 48):
+    def from_permutations(cls, perms, cap: int = ORDER_CAP):
         """Close a list of permutations (on 0..deg-1) into a group.
 
         Returns (group, generator_indices).  Elements are indexed in

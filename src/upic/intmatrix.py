@@ -5,11 +5,14 @@ images of generators, so `im(A)` always means the column span.  Everything
 downstream (modules, complexes, cohomology) reduces to the operations in
 this module: Smith and Hermite forms, integer kernels, cycle lattices,
 image membership, and elementary-divisor invariants of cokernels and
-subquotients.
+subquotients.  `SparseCols` holds the large, sparse cochain differentials;
+`cycle_lattice` eliminates their +-1 pivots on the sparse columns and
+hands only the remainder to the dense Hermite form.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from ._backend import kernels
@@ -151,6 +154,71 @@ class IntMatrix:
         return self._hnf_cache
 
 
+class SparseCols:
+    """Column-sparse integer matrix: per-column {row: value} dicts."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int):
+        self.rows = rows
+        self.cols = cols
+        self.entries = [dict() for _ in range(cols)]
+
+    @classmethod
+    def from_dense(cls, a: IntMatrix) -> "SparseCols":
+        out = cls(a.rows, a.cols)
+        for i, row in enumerate(a.data):
+            for j, x in enumerate(row):
+                if x:
+                    out.entries[j][i] = x
+        return out
+
+    def add(self, r: int, c: int, v: int):
+        if v:
+            col = self.entries[c]
+            nv = col.get(r, 0) + v
+            if nv:
+                col[r] = nv
+            else:
+                del col[r]
+
+    def add_block(self, r0: int, c0: int, mat: IntMatrix, sign: int = 1):
+        data = mat.data
+        for i in range(mat.rows):
+            row = data[i]
+            for j in range(mat.cols):
+                if row[j]:
+                    self.add(r0 + i, c0 + j, sign * row[j])
+
+    def compose(self, inner: "SparseCols") -> "SparseCols":
+        if inner.rows != self.cols:
+            raise ValueError("sparse shape mismatch")
+        out = SparseCols(self.rows, inner.cols)
+        for c, col in enumerate(inner.entries):
+            acc = out.entries[c]
+            for mid, v in col.items():
+                for r, w in self.entries[mid].items():
+                    nv = acc.get(r, 0) + v * w
+                    if nv:
+                        acc[r] = nv
+                    else:
+                        acc.pop(r, None)
+        return out
+
+    def column(self, c: int) -> list:
+        out = [0] * self.rows
+        for r, v in self.entries[c].items():
+            out[r] = v
+        return out
+
+    def to_dense(self) -> IntMatrix:
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for c, col in enumerate(self.entries):
+            for r, v in col.items():
+                data[r][c] = v
+        return IntMatrix(self.rows, self.cols, data)
+
+
 class SmithDecomposition:
     """u * a * v == d with u, v unimodular and d diagonal (d1 | d2 | ...)."""
 
@@ -256,18 +324,94 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(a.cols, [v.column(j) for j in range(first_free, a.cols)])
 
 
-def cycle_lattice(d: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
+def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> IntMatrix:
     """Hermite basis of {x : d*x lies in the column span of target_relations}.
 
-    The kernel of [d | -target_relations], projected onto its first d.cols
-    coordinates.  Without relation columns d is eliminated as it is, so no
-    stacked copy sits next to it.
+    `d` is an `IntMatrix` or a `SparseCols`.  The lattice is the kernel of
+    [d | -target_relations] projected onto its first d.cols coordinates.
+    The stacked matrix is held as sparse columns, and for each unit pivot
+    (r, c), taken in the sparsest column first and within it on the row
+    with the fewest nonzeros, row r is cleared from every other column by
+    unimodular column operations.  The pivot column then cannot carry a
+    kernel vector; a column that becomes zero is one.  Only the columns
+    left without a unit entry go to a dense `kernel_basis`.  Each column
+    carries the projection of its transform, which maps every kernel
+    vector back; one Hermite form of the spanning set gives the canonical
+    basis.
     """
+    if target_relations.rows != d.rows:
+        raise ValueError("row count mismatch between d and the relations")
     n = d.cols
-    stacked = d.hstack(target_relations.neg()) if target_relations.cols else d
-    ker = kernel_basis(stacked)
-    span = IntMatrix(n, ker.cols, ker.data[:n])
-    h, _, pivots = span.hermite()
+    sparse = d if isinstance(d, SparseCols) else SparseCols.from_dense(d)
+    cols = [dict(c) for c in sparse.entries]
+    for j in range(target_relations.cols):
+        cols.append({i: -x for i, x in enumerate(target_relations.column(j)) if x})
+    # the relation coordinates project to zero
+    trans = [{j: 1} for j in range(n)] + [{} for _ in range(target_relations.cols)]
+    row_cols = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            row_cols.setdefault(r, set()).add(j)
+
+    spanning = []
+    active = set(range(len(cols)))
+    heap = [(len(col), j) for j, col in enumerate(cols)]
+    heapq.heapify(heap)
+    while heap:
+        size, c = heapq.heappop(heap)
+        col = cols[c]
+        if c not in active or size != len(col):
+            continue  # pivoted already, or changed and pushed again
+        if not col:
+            active.discard(c)
+            if trans[c]:
+                spanning.append(trans[c])
+            continue
+        units = [r for r, x in col.items() if x == 1 or x == -1]
+        if not units:
+            continue  # pushed again if a later pivot changes it
+        r = min(units, key=lambda i: (len(row_cols[i]), i))
+        active.discard(c)
+        for i in col:
+            row_cols[i].discard(c)
+        unit = col.pop(r)
+        tc = trans[c]
+        for k in row_cols.pop(r):
+            ck = cols[k]
+            q = ck.pop(r) * unit
+            for i, x in col.items():
+                nv = ck.get(i, 0) - q * x
+                if nv:
+                    if i not in ck:
+                        row_cols[i].add(k)
+                    ck[i] = nv
+                else:
+                    del ck[i]
+                    row_cols[i].discard(k)
+            tk = trans[k]
+            for j, x in tc.items():
+                nv = tk.get(j, 0) - q * x
+                if nv:
+                    tk[j] = nv
+                else:
+                    del tk[j]
+            heapq.heappush(heap, (len(ck), k))
+
+    rest = sorted(active)
+    if rest:
+        rows = {i: t for t, i in enumerate(sorted({i for k in rest for i in cols[k]}))}
+        remainder = SparseCols(len(rows), len(rest))
+        remainder.entries = [{rows[i]: x for i, x in cols[k].items()} for k in rest]
+        for y in kernel_basis(remainder.to_dense()).columns():
+            v = {}
+            for yk, k in zip(y, rest):
+                if yk:
+                    for j, x in trans[k].items():
+                        v[j] = v.get(j, 0) + yk * x
+            spanning.append(v)
+    span = SparseCols(n, len(spanning))
+    span.entries = spanning
+    h, _, pivots = span.to_dense().hermite()
     return IntMatrix.from_columns(n, [h.column(c) for _, c in pivots])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .errors import TaskFileError, ValidationError
-from .groups import FiniteGroup
+from .groups import ORDER_CAP, FiniteGroup
 from .homspace import HomSpaceData, TorusComparisonData
 from .intmatrix import IntMatrix
 from .modules import ModuleMap, PresentedModule, validate_module
@@ -163,7 +163,11 @@ class BuiltTasks:
 
     def __init__(self, tf: TaskFile):
         if "table" in tf.group_spec:
-            group = FiniteGroup(tf.group_spec["table"])
+            table = tf.group_spec["table"]
+            # the table check is cubic in the order, so the cap comes first
+            if len(table) > ORDER_CAP:
+                raise ValidationError([f"group table of order {len(table)} exceeds the order cap {ORDER_CAP}"])
+            group = FiniteGroup(table)
             gen_indices = list(range(group.order))
         else:
             group, gen_indices = FiniteGroup.from_permutations(tf.group_spec["permutations"])

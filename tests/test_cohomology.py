@@ -1,6 +1,8 @@
 import pytest
 
+from upic import cohomology
 from upic.cohomology import (
+    COCHAIN_RANK_LIMIT,
     HyperTotal,
     cochain_differential,
     cochain_rank,
@@ -208,6 +210,17 @@ class TestHyper:
         s = sign_module()
         with pytest.raises(DegreeTooLarge):
             hypercohomology(C2, one_term(s, 0), 4)
+
+    def test_cochain_rank_limit(self, monkeypatch):
+        # C40 with trivial Z: degree-3 cochains have rank 39^3 = 59319
+        def no_assembly(*args):
+            raise AssertionError("cochains assembled for an oversized input")
+
+        monkeypatch.setattr(cohomology, "cochain_differential", no_assembly)
+        g = FiniteGroup.cyclic(40)
+        assert 39**3 > COCHAIN_RANK_LIMIT
+        with pytest.raises(BudgetExceeded, match="rank 59319"):
+            group_cohomology(g, trivial_module(g), 2)
 
     def test_square_zero_check_runs(self):
         s = sign_module()

@@ -88,6 +88,23 @@ class TestPicBrauer:
         assert pic(d).value == AbelianInvariants(0, [2, 2])
         assert brauer_a(d).value == AbelianInvariants(0, [2])
 
+    def test_brauer_a_is_schur_multiplier(self):
+        # brauer_a on J_G = H^2(G, J_G) = H^3(G, Z), the Schur multiplier of G
+        c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+        d4, _ = FiniteGroup.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)])
+        q8, _ = FiniteGroup.from_permutations([(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)])
+        assert q8.order == 8 and sum(q8.element_order(g) == 2 for g in range(8)) == 1
+        cases = [
+            (c2.direct_product(c4), [2]),
+            (d4, [2]),
+            (c2.direct_product(c2).direct_product(c2), [2, 2, 2]),
+            (q8, []),
+            (FiniteGroup.cyclic(9), []),
+        ]
+        for g, schur in cases:
+            d = make_data(g, norm_one_lattice_of(g), zero_module(g))
+            assert brauer_a(d).value == AbelianInvariants(0, schur)
+
     def test_split_complex_additivity(self, rng):
         # with a zero restriction map and torsion-free stabilizer characters,
         # the total complex splits: pic = H^1(G, XG) (+) H^0(G, XH)

@@ -8,6 +8,7 @@ from upic.errors import BoundaryNotInCycles
 from upic.intmatrix import (
     AbelianInvariants,
     IntMatrix,
+    SparseCols,
     Subquotient,
     cokernel_invariants,
     cycle_lattice,
@@ -170,6 +171,38 @@ def test_cycle_lattice_properties():
             assert solve_integer(z, ker.column(j)[:n]) is not None
         # the basis is already in column Hermite form
         assert z.hermite()[0] == z
+
+
+def dense_cycle_lattice(d, rel):
+    """Hermite basis of the kernel of [d | -rel], projected, by dense elimination only."""
+    n = d.cols
+    ker = kernel_basis(d.hstack(rel.neg()))
+    h, _, pivots = IntMatrix(n, ker.cols, ker.data[:n]).hermite()
+    return IntMatrix.from_columns(n, [h.column(c) for _, c in pivots])
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        [0, 0, 0, 1, -1, 2, -3],  # mostly unit pivots, some remainder
+        [0, 0, 2, -2, 3, 4],  # no unit entries: everything is left for the dense remainder
+        [0, 0, 0, 0, 0, 1, -1, 6],  # sparse, with zero columns
+    ],
+)
+def test_cycle_lattice_matches_dense_reference(pool):
+    rng = random.Random(11)
+    for trial in range(60):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        k = rng.randint(1, 4) if trial % 2 else 0
+        d = IntMatrix(m, n, [[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+        if n and trial % 3 == 0:
+            zero = rng.randrange(n)
+            for row in d.data:
+                row[zero] = 0
+        rel = IntMatrix(m, k, [[rng.choice(pool) for _ in range(k)] for _ in range(m)])
+        want = dense_cycle_lattice(d, rel)
+        assert cycle_lattice(d, rel) == want
+        assert cycle_lattice(SparseCols.from_dense(d), rel) == want
 
 
 def test_unimodular_inverse():

@@ -82,6 +82,12 @@ class TestBuilding:
         with pytest.raises(ValidationError, match="generate"):
             parse_task_text(json.dumps(doc)).build()
 
+    def test_table_over_order_cap_rejected(self):
+        doc = fixture_doc("norm_one_2")
+        doc["group"] = {"table": [[(i + j) % 49 for j in range(49)] for i in range(49)]}
+        with pytest.raises(ValidationError, match="order cap 48"):
+            parse_task_text(json.dumps(doc)).build()
+
 
 class TestCLI:
     def run_cli(self, capsys, *argv):
@@ -213,6 +219,27 @@ class TestCLI:
         assert code == 4
         assert "task error" in err
         assert not out_path.exists()
+
+    def test_unwritable_out_exit_4_without_listing(self, capsys, tmp_path):
+        path = self.fixture_path(tmp_path, "norm_one_2")
+        code, out, err = self.run_cli(capsys, "run", path, "--out", str(tmp_path))
+        assert code == 4
+        assert "cannot write" in err
+        assert out == ""
+
+    def test_cochain_rank_limit_exit_4(self, capsys, tmp_path):
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": [[(i + j) % 40 for j in range(40)] for i in range(40)]},
+            "generators": [1],
+            "modules": {"Z": {"gens": 1, "relations": [], "action": [[[1]]]}},
+            "tasks": [{"op": "group_cohomology", "module": "Z", "degree": 2}],
+        }
+        p = tmp_path / "big.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code == 4
+        assert "rank 59319" in err and out == ""
 
     def test_fixtures_run_all(self, capsys):
         code = main(["fixtures", "--run-all"])
