@@ -1,20 +1,13 @@
-"""Kernel backend selection.
+"""The elimination kernels, `_kernels_py`, under the one name the library uses.
 
-The compiled extension (`upic._kernels`, built from `_kernels.pyx`) is used
-when it imports cleanly; otherwise the pure-Python twin takes over.
+Every caller looks them up as `upic._backend.kernels`, so a profiler can
+wrap them in this one place.
 """
 
 from __future__ import annotations
 
-try:
-    from . import _kernels as kernels  # type: ignore[attr-defined]
-
-    COMPILED = True
-except ImportError:
-    from . import _kernels_py as kernels
-
-    COMPILED = False
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    return "compiled" if COMPILED else "pure-python"
+    return "pure-python"

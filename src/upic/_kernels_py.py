@@ -2,9 +2,8 @@
 
 These are the hot inner loops behind every invariant computation: Smith
 normal form, column-style Hermite form, and exact matrix products over
-arbitrary-precision integers.  A compiled twin (`upic._kernels`) with the
-same signatures is preferred at import time when available; this module is
-the reference implementation and the fallback.
+arbitrary-precision integers.  The library reaches them only as
+`upic._backend.kernels`.
 
 Both forms use the same reduction style: pick the minimal-absolute-value
 entry as pivot (deterministic low-index tie-break) and reduce everything
@@ -26,11 +25,24 @@ def _identity(n):
 
 
 def matmul(a, b):
-    """Exact product of row-major integer matrices (len(a[0]) == len(b))."""
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Exact product of row-major integer matrices (len(a[0]) == len(b)).
+
+    Zeros are skipped on both sides: the nonzero (column, value) pairs of
+    each row of `b` are listed once, and each nonzero a[i][t] adds only into
+    the columns of row t.  The operands here are mostly permutation actions
+    and block matrices, a few percent nonzero.
+    """
+    n = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * n
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _find_pivot(d, m, n, t):

@@ -3,7 +3,7 @@
 Elements are indices 0..order-1.  Tables are validated on construction
 (associativity, two-sided identity, inverses), which is cubic in the
 order and affordable at the intended scale: task files are capped at
-ORDER_CAP elements.
+ORDER_CAP elements, and their modules at rank MODULE_RANK_CAP.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from .errors import NotASubgroup, ValidationError
 
 # Largest group a task file may declare, by table or by permutations.
 ORDER_CAP = 48
+# Largest module rank a task file may declare: room for Z[G] + Z[G] at ORDER_CAP.
+MODULE_RANK_CAP = 2 * ORDER_CAP
 
 
 class FiniteGroup:

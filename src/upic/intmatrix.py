@@ -7,7 +7,10 @@ this module: Smith and Hermite forms, integer kernels, cycle lattices,
 image membership, and elementary-divisor invariants of cokernels and
 subquotients.  `SparseCols` holds the large, sparse cochain differentials;
 `cycle_lattice` eliminates their +-1 pivots on the sparse columns and
-hands only the remainder to the dense Hermite form.
+hands only the remainder to the dense Hermite form.  `IntMatrix.mul` (the
+kernel's `matmul`) and the back-substitution in `solve_integer` skip zero
+entries: the permutation actions and block matrices they see are mostly
+zeros.
 """
 
 from __future__ import annotations
@@ -422,7 +425,7 @@ def solve_integer(a: IntMatrix, b) -> list | None:
         raise ValueError("right-hand side length mismatch")
     h, v, pivots = a.hermite()
     residual = b
-    y = [0] * a.cols
+    y = []  # the nonzero (column, coefficient) pairs of h*y == b
     for r, c in pivots:
         val = residual[r]
         p = h.data[r][c]
@@ -430,12 +433,12 @@ def solve_integer(a: IntMatrix, b) -> list | None:
             return None
         q = val // p
         if q:
-            y[c] = q
+            y.append((c, q))
             col = h.column(c)
             residual = [x - q * e for x, e in zip(residual, col)]
     if any(residual):
         return None
-    return v.apply(y)
+    return [sum(row[c] * q for c, q in y) for row in v.data]
 
 
 def invariants_from_diagonal(diag, ambient: int) -> AbelianInvariants:

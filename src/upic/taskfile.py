@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .errors import TaskFileError, ValidationError
-from .groups import ORDER_CAP, FiniteGroup
+from .groups import MODULE_RANK_CAP, ORDER_CAP, FiniteGroup
 from .homspace import HomSpaceData, TorusComparisonData
 from .intmatrix import IntMatrix
 from .modules import ModuleMap, PresentedModule, validate_module
@@ -102,6 +102,8 @@ def parse_task_text(text: str) -> TaskFile:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise TaskFileError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # an integer over the digit limit, nesting too deep
+        raise TaskFileError(f"unreadable JSON: {e}") from e
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("format") == FORMAT_TAG, f"missing or unsupported format tag (want {FORMAT_TAG!r})")
     group_spec = doc.get("group")
@@ -136,7 +138,11 @@ def parse_task_text(text: str) -> TaskFile:
 
 def parse_task_file(path) -> TaskFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_task_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise TaskFileError(f"not UTF-8 text: {e}") from e
+    return parse_task_text(text)
 
 
 def _extend_actions(group: FiniteGroup, gen_indices, gen_mats, gens: int, name: str):
@@ -183,6 +189,9 @@ class BuiltTasks:
         for name, spec in tf.modules.items():
             gens = spec.get("gens")
             _require(type(gens) is int and gens >= 0, f"module {name}: integer 'gens' required")
+            # every matrix built below has gens rows, so the cap comes first
+            if gens > MODULE_RANK_CAP:
+                raise ValidationError([f"module {name}: rank {gens} exceeds the module rank cap {MODULE_RANK_CAP}"])
             relations = _as_matrix(spec.get("relations", []), gens, f"module {name} relations")
             action_list = spec.get("action", [])
             _require(

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main
 from upic.errors import TaskFileError, ValidationError
-from upic.taskfile import parse_task_text
+from upic.taskfile import OPS, parse_task_text
 
 
 def fixture_doc(name):
@@ -86,6 +91,24 @@ class TestBuilding:
         doc = fixture_doc("norm_one_2")
         doc["group"] = {"table": [[(i + j) % 49 for j in range(49)] for i in range(49)]}
         with pytest.raises(ValidationError, match="order cap 48"):
+            parse_task_text(json.dumps(doc)).build()
+
+    @pytest.mark.parametrize(
+        "group, generators, gens, action",
+        [
+            ([[0, 1], [1, 0]], [1], 3_000_000, [[]]),  # relations and action would be 3e6-row arrays
+            ([[0]], [], 97, []),  # the trivial group's identity action would be 97x97
+        ],
+        ids=["action", "trivial-group"],
+    )
+    def test_module_rank_over_cap_rejected(self, group, generators, gens, action):
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": group},
+            "generators": generators,
+            "modules": {"M": {"gens": gens, "action": action}},
+        }
+        with pytest.raises(ValidationError, match=f"rank {gens} exceeds the module rank cap 96"):
             parse_task_text(json.dumps(doc)).build()
 
 
@@ -209,6 +232,22 @@ class TestCLI:
         assert out == ""
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"[" * 100_000 + b"]" * 100_000,  # nesting deeper than the decoder's recursion limit
+            b'{"format": "upic-task-v1", "gens": 1' + b"0" * 5000 + b"}",  # integer over the digit limit
+            b'\xff\xfe{"format": "upic-task-v1"}',  # not UTF-8
+        ],
+        ids=["deep-nesting", "long-integer", "not-utf8"],
+    )
+    def test_unreadable_text_exit_2(self, capsys, tmp_path, raw):
+        p = tmp_path / "raw.task"
+        p.write_bytes(raw)
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code == 2
+        assert err.startswith("parse error:") and out == ""
+
     def test_task_error_exit_4_and_no_partial_output(self, capsys, tmp_path):
         doc = fixture_doc("norm_one_2")
         doc["tasks"] = [{"op": "group_cohomology", "module": "XT", "degree": 9}]
@@ -291,3 +330,109 @@ class TestFixtures:
         for name in FIXTURES:
             built = parse_task_text(fixture_text(name)).build()
             assert built.tasks
+
+
+# --- fuzzing the exit-code contract ---------------------------------------
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**12),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 7), max_size=3),
+    st.builds(lambda: [[1.5]]),
+    st.builds(dict),
+)
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _matrix(draw, rows, cols):
+    return [[draw(st.integers(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _action(draw, kind, r):
+    if kind == "trivial":
+        return [[int(i == j) for j in range(r)] for i in range(r)]
+    if kind == "sign":
+        return [[-int(i == j) for j in range(r)] for i in range(r)]
+    if kind == "shift":
+        return [[int(j == (i + 1) % r) for j in range(r)] for i in range(r)]
+    return _matrix(draw, r, r)
+
+
+def _slots(node):
+    """Every (container, key) position in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def task_documents(draw):
+    """Small task files, valid or not: order <= 6, rank <= 4, and at most one junk field."""
+    shape = draw(st.sampled_from(["table", "cyclic_perm", "s3"]))
+    n = draw(st.integers(1, 6))
+    if shape == "table":
+        group, generators, n_gens = {"table": _cyclic_table(n)}, [1 % n], 1
+    elif shape == "cyclic_perm":
+        group, generators, n_gens = {"permutations": [[(i + 1) % n for i in range(n)]]}, None, 1
+    else:
+        group, generators, n_gens = {"permutations": [[1, 0, 2], [1, 2, 0]]}, None, 2
+    modules = {}
+    for name in ("A", "B"):
+        r = draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(["trivial", "sign", "shift", "random"]))
+        spec = {"gens": r, "action": [_action(draw, kind, r) for _ in range(n_gens)]}
+        if r and draw(st.booleans()):
+            spec["relations"] = _matrix(draw, r, draw(st.integers(1, 2)))
+        modules[name] = spec
+    ra, rb = modules["A"]["gens"], modules["B"]["gens"]
+    res = draw(st.sampled_from(["zero", "identity", "random"]))
+    if res == "identity" and ra == rb:
+        matrix = [[int(i == j) for j in range(ra)] for i in range(rb)]
+    elif res == "random":
+        matrix = _matrix(draw, rb, ra)
+    else:
+        matrix = [[0] * ra for _ in range(rb)]
+    tasks = []
+    for op in draw(st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=2)):
+        task = {"op": op, "data": "D", "module": draw(st.sampled_from(["A", "B"]))}
+        if op in ("group_cohomology", "hypercohomology"):
+            task["degree"] = draw(st.integers(0, 3))
+        tasks.append(task)
+    doc = {
+        "format": "upic-task-v1",
+        "group": group,
+        "modules": modules,
+        "maps": {"res": {"source": "A", "target": "B", "matrix": matrix}},
+        "homspace": {"D": {"xg": "A", "xh": "B", "res": "res"}},
+        "tasks": tasks,
+    }
+    if generators is not None:
+        doc["generators"] = generators
+    if draw(st.booleans()):
+        parent, key = draw(st.sampled_from(list(_slots(doc))))
+        parent[key] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=task_documents(), oracle=st.sampled_from(["on", "off"]))
+def test_cli_contract_fuzz(doc, oracle):
+    """Every small task file, valid or not, ends in exit 0, 2, 3 or 4 without a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.task")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", path, "--oracle", oracle])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
