@@ -1,33 +1,44 @@
-"""Group cohomology and hypercohomology via normalized inhomogeneous cochains.
+"""Group cohomology and hypercohomology over free Z[G]-resolutions.
 
-A p-cochain assigns an element of the coefficient module to every p-tuple
-of non-identity group elements (normalized cochains vanish when any
-argument is the identity, cutting the slot count from order^p to
-(order-1)^p).  The differential is the usual inhomogeneous one; tuples
-containing the identity are simply dropped.
+A resolution ... -> F_1 -> F_0 = Z[G] -> Z is held as the ranks r_p and,
+for each free generator of F_p, its boundary as a Z[G]-combination
+{(j, g): c} of the generators e_j of F_(p-1).  Hom_G(F_p, M) is M^(r_p),
+and block (i, j) of the coboundary is the sum of c * rho(g) over the
+terms of the boundary of generator i (`hom_differential`).
+
+`SmallResolution` is the default.  It starts from F_0 = Z[G] with the
+augmentation and takes each F_p from the kernel below it, with few
+generators; it is built only as far as a degree needs (H^n of a complex
+starting in degree q0 needs F_0..F_(n+1-q0)), certified exact once as it
+grows, and kept on the group.  `BarResolution` is the normalized bar
+resolution, r_p = (|G|-1)^p; its coboundary is the inhomogeneous one,
+`cochain_differential`, and tests check the small resolution against it.
 
 For a bounded complex of coefficients the total complex carries
-D = (-1)^q d_group + d_coefficient on the (p, q) summand, so for a
-two-term complex [A -f-> B> this reads D(alpha, beta) =
-(d alpha, f(alpha) - d beta).  D*D = 0 is machine-checked on every
-instance before any invariant is reported.  Group cohomology is the
-one-term case: the module placed in degree 0.
+D = (-1)^q delta + d_coefficient on the (p, q) summand, so for a two-term
+complex [A -f-> B> this reads D(alpha, beta) = (delta alpha, f(alpha) -
+delta beta).  D*D = 0 is machine-checked on every instance before any
+invariant is reported.  Group cohomology is the one-term case: the module
+placed in degree 0.
 
-The differentials are assembled as sparse columns and reach
-`cycle_lattice` in that form: its +-1 pivots are eliminated sparsely and
-only the small remainder goes through a dense Hermite form.
+Two budgets stop large inputs before the work: COCHAIN_RANK_LIMIT bounds
+the rank of the cochains HyperTotal assembles, RESOLUTION_BUILD_LIMIT the
+lattice whose kernel each new F_p is taken from.  The differentials are
+sparse columns and reach `cycle_lattice` in that form.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 
 from .complexes import BoundedComplex, one_term
 from .errors import BudgetExceeded, DegreeTooLarge, ExactnessViolation, NotCyclic, ValidationError
-from .groups import FiniteGroup
+from .groups import ORDER_CAP, FiniteGroup
 from .intmatrix import (
     AbelianInvariants,
     IntMatrix,
+    LatticeSpan,
     SparseCols,
     Subquotient,
     cycle_lattice,
@@ -41,9 +52,21 @@ from .modules import PresentedModule
 DEFAULT_DEGREE_BOUND = 3
 DEFAULT_ENUMERATION_BUDGET = 1 << 20
 # Largest total rank of the degree-(n+1) cochains HyperTotal assembles for
-# H^n.  brauer_a on J_G needs (|G|-1)^4: 14641 at order 12 (about 3 s),
-# 28561 at order 14 (about 13 s and 270 MB); order 16 is refused.
+# H^n.  Over the bar resolution brauer_a on J_G needs (|G|-1)^4 and is
+# refused from order 16; over the small resolution it stays in the thousands.
 COCHAIN_RANK_LIMIT = 1 << 15
+# Largest Z-rank r_(p-1)*|G| of F_(p-1) whose kernel is taken to build F_p.
+# On pure Python every kernel step up to this size took at most 6 s
+# (C2^2 x A4 to F_4: 1104); C2^5 to F_4 (1440) took 11 s, C2^4 x C3 to F_4
+# (1968) 22 s and 130 MB.  F_3, all that brauer_a needs, stays under 800
+# for the groups of order up to ORDER_CAP that were tried.
+RESOLUTION_BUILD_LIMIT = 24 * ORDER_CAP
+
+
+# Serializes SmallResolution._extend: a resolution is shared through its group,
+# and two threads extending it at once would both append the same level.
+# Held here rather than on the resolution, which stays picklable with its group.
+_EXTEND_LOCK = threading.Lock()
 
 
 def _nonidentity(group: FiniteGroup) -> list:
@@ -55,55 +78,180 @@ def _slots(group: FiniteGroup, p: int) -> dict:
     return {t: i for i, t in enumerate(itertools.product(_nonidentity(group), repeat=p))}
 
 
-def cochain_rank(group: FiniteGroup, m: PresentedModule, p: int) -> int:
-    return m.gens * (group.order - 1) ** p
+class BarResolution:
+    """The normalized bar resolution.
 
+    F_p is free on the p-tuples of non-identity elements, in lexicographic
+    order, and d[g1|..|gp] = g1[g2|..|gp] + sum_i (-1)^i [..|g_i g_(i+1)|..]
+    + (-1)^p [g1|..|g_(p-1)], dropping the tuples that contain the identity.
+    """
 
-def cochain_relations(group: FiniteGroup, m: PresentedModule, p: int) -> IntMatrix:
-    slots = (group.order - 1) ** p
-    return IntMatrix.block_diagonal([m.relations] * slots) if slots else IntMatrix.zeros(0, 0)
+    __slots__ = ("group",)
 
+    def __init__(self, group: FiniteGroup):
+        self.group = group
 
-def cochain_differential(group: FiniteGroup, m: PresentedModule, p: int) -> SparseCols:
-    """The degree-p inhomogeneous differential as a sparse matrix."""
-    n = m.gens
-    src = _slots(group, p)
-    tgt = _slots(group, p + 1)
-    out = SparseCols(n * len(tgt), n * len(src))
-    if n == 0:
+    def rank(self, p: int) -> int:
+        return (self.group.order - 1) ** p
+
+    def boundary(self, p: int) -> list:
+        group = self.group
+        e = group.identity
+        below = _slots(group, p - 1)
+        out = []
+        for t in itertools.product(_nonidentity(group), repeat=p):
+            bd = {(below[t[1:]], t[0]): 1}
+            faces = [(t[: i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1 :], (-1) ** i) for i in range(1, p)]
+            faces.append((t[:-1], (-1) ** p))
+            for face, sign in faces:
+                if e not in face:
+                    key = (below[face], e)
+                    bd[key] = bd.get(key, 0) + sign
+            out.append({k: c for k, c in bd.items() if c})
         return out
-    ident = IntMatrix.identity(n)
-    e = group.identity
-    for tup, ti in tgt.items():
-        r0 = ti * n
-        out.add_block(r0, src[tup[1:]] * n, m.action_of(tup[0]))
-        for i in range(1, p + 1):
-            h = group.mul(tup[i - 1], tup[i])
-            if h != e:
-                merged = tup[: i - 1] + (h,) + tup[i + 1 :]
-                out.add_block(r0, src[merged] * n, ident, sign=(-1) ** i)
-        out.add_block(r0, src[tup[:p]] * n, ident, sign=(-1) ** (p + 1))
+
+
+def _z_boundary(group: FiniteGroup, gens: list, rows: int) -> SparseCols:
+    """d_p on the Z-bases {g e_j}: column i*|G| + h is h times the boundary of generator i."""
+    n = group.order
+    out = SparseCols(rows, len(gens) * n)
+    for i, bd in enumerate(gens):
+        for h in range(n):
+            row_h = group.table[h]
+            out.entries[i * n + h] = {j * n + row_h[g]: c for (j, g), c in bd.items()}
     return out
 
 
-class HyperTotal:
-    """Total complex of group cochains valued in a bounded complex.
+def _choose_generators(group: FiniteGroup, kernel: list, rows: int) -> list:
+    """Z[G]-generators of a kernel lattice, given by its Hermite basis.
 
-    Builds the summands Tot^n = (+)_q C^(n-q)(group, K^q) for the degrees
-    n0-1, n0, n0+1 needed to read off H^n0, assembles D, and verifies
-    D composed with D vanishes modulo the relation lattice.  A rank of
-    Tot^(n0+1) over COCHAIN_RANK_LIMIT raises BudgetExceeded before any
-    of this is built.
+    Sparsest basis vector first, ties to the later pivot (on S4 that gives
+    ranks 1, 2, 3, 4 up to F_3 where the earlier pivot gives 1, 3, 6, 12);
+    a vector already in the Z-span of the chosen generators' orbits is
+    skipped.
+    """
+    n = group.order
+    span = LatticeSpan()
+    gens = []
+    for k in sorted(range(len(kernel)), key=lambda k: (len(kernel[k]), -k)):
+        if not span.contains(kernel[k]):
+            gens.append({divmod(r, n): c for r, c in kernel[k].items()})
+            for col in _z_boundary(group, gens[-1:], rows).entries:
+                span.add(col)
+    return gens
+
+
+def _certify(p: int, d_below: SparseCols, d_at: SparseCols, kernel: list):
+    """d_(p-1) d_p = 0, and the image of d_p holds every basis vector of ker d_(p-1)."""
+    if any(d_below.compose(d_at).entries):
+        raise ExactnessViolation(f"the resolution's boundaries do not compose to zero at F_{p}")
+    image = LatticeSpan()
+    for col in d_at.entries:
+        image.add(col)
+    if not all(image.contains(v) for v in kernel):
+        raise ExactnessViolation(f"the image of F_{p} is a proper sublattice of the kernel below it")
+
+
+class SmallResolution:
+    """A free Z[G]-resolution with few generators per degree, built on demand.
+
+    F_0 = Z[G] with the augmentation.  Each F_p is generated greedily from
+    the Hermite basis of ker d_(p-1) (`_choose_generators`), and certified
+    before it is kept (`_certify`): the resolution is exact at F_(p-1).
     """
 
-    __slots__ = ("group", "coeffs", "degree", "d_below", "d_at", "rel_at", "rel_above")
+    __slots__ = ("group", "boundaries", "_d_top")
 
-    def __init__(self, group: FiniteGroup, coeffs: BoundedComplex, degree: int, degree_bound: int = DEFAULT_DEGREE_BOUND):
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.boundaries = [None]  # F_0 maps onto Z by the augmentation
+        self._d_top = SparseCols(1, group.order)
+        self._d_top.entries = [{0: 1} for _ in range(group.order)]
+
+    def rank(self, p: int) -> int:
+        self._extend(p)
+        return len(self.boundaries[p]) if p else 1
+
+    def boundary(self, p: int) -> list:
+        self._extend(p)
+        return self.boundaries[p]
+
+    def _extend(self, length: int):
+        with _EXTEND_LOCK:
+            while len(self.boundaries) <= length:
+                p = len(self.boundaries)
+                d_below = self._d_top
+                if d_below.cols > RESOLUTION_BUILD_LIMIT:
+                    raise BudgetExceeded(
+                        f"F_{p} of the resolution needs a kernel in rank {d_below.cols},"
+                        f" over the limit {RESOLUTION_BUILD_LIMIT}"
+                    )
+                basis = cycle_lattice(d_below, IntMatrix.zeros(d_below.rows, 0)).columns()
+                kernel = [{r: x for r, x in enumerate(col) if x} for col in basis]
+                gens = _choose_generators(self.group, kernel, d_below.cols)
+                d_at = _z_boundary(self.group, gens, d_below.cols)
+                _certify(p, d_below, d_at, kernel)
+                self.boundaries.append(gens)
+                self._d_top = d_at
+
+
+def small_resolution(group: FiniteGroup) -> SmallResolution:
+    """The group's small resolution, kept on the group and extended as degrees are asked."""
+    if group._resolution is None:
+        group._resolution = SmallResolution(group)
+    return group._resolution
+
+
+def hom_differential(resolution: BarResolution | SmallResolution, m: PresentedModule, p: int) -> SparseCols:
+    """The coboundary Hom_G(F_p, M) = M^(r_p) -> Hom_G(F_(p+1), M) as a sparse matrix.
+
+    Block (i, j) is the sum of c * rho(g) over the terms c g e_j of the
+    boundary of generator i of F_(p+1); the identity acts by the identity matrix.
+    """
+    n = m.gens
+    out = SparseCols(n * resolution.rank(p + 1), n * resolution.rank(p))
+    if n == 0:
+        return out
+    ident = IntMatrix.identity(n)
+    e = resolution.group.identity
+    for i, bd in enumerate(resolution.boundary(p + 1)):
+        for (j, g), c in bd.items():
+            out.add_block(i * n, j * n, ident if g == e else m.action_of(g), sign=c)
+    return out
+
+
+def cochain_differential(group: FiniteGroup, m: PresentedModule, p: int) -> SparseCols:
+    """The degree-p inhomogeneous differential: the coboundary over the bar resolution."""
+    return hom_differential(BarResolution(group), m, p)
+
+
+class HyperTotal:
+    """Total complex of Hom_G(F, K) for a resolution F and a bounded complex K.
+
+    Builds the summands Tot^n = (+)_q Hom_G(F_(n-q), K^q) for the degrees
+    n0-1, n0, n0+1 needed to read off H^n0, assembles D, and verifies
+    D composed with D vanishes modulo the relation lattice.  The resolution
+    defaults to the group's small resolution.  A rank of Tot^(n0+1) over
+    COCHAIN_RANK_LIMIT raises BudgetExceeded before any differential is
+    assembled.
+    """
+
+    __slots__ = ("group", "coeffs", "degree", "resolution", "d_below", "d_at", "rel_at", "rel_above")
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        coeffs: BoundedComplex,
+        degree: int,
+        degree_bound: int = DEFAULT_DEGREE_BOUND,
+        resolution: BarResolution | SmallResolution | None = None,
+    ):
         if degree > degree_bound:
             raise DegreeTooLarge(f"degree {degree} exceeds the configured bound {degree_bound}")
         self.group = group
         self.coeffs = coeffs
         self.degree = degree
+        self.resolution = small_resolution(group) if resolution is None else resolution
         _, rank_above = self._offsets(degree + 1)
         if rank_above > COCHAIN_RANK_LIMIT:
             raise BudgetExceeded(
@@ -128,11 +276,14 @@ class HyperTotal:
         total = 0
         for q, p in self._summands(n):
             offs[(q, p)] = total
-            total += cochain_rank(self.group, self.coeffs.term(q), p)
+            total += self.coeffs.term(q).gens * self.resolution.rank(p)
         return offs, total
 
     def _relations(self, n: int) -> IntMatrix:
-        blocks = [cochain_relations(self.group, self.coeffs.term(q), p) for q, p in self._summands(n)]
+        blocks = [
+            IntMatrix.block_diagonal([self.coeffs.term(q).relations] * self.resolution.rank(p))
+            for q, p in self._summands(n)
+        ]
         if not blocks:
             _, total = self._offsets(n)
             return IntMatrix.zeros(total, 0)
@@ -145,7 +296,7 @@ class HyperTotal:
         for (q, p), c0 in src_offs.items():
             m = self.coeffs.term(q)
             if (q, p + 1) in tgt_offs:
-                d = cochain_differential(self.group, m, p)
+                d = hom_differential(self.resolution, m, p)
                 sign = -1 if q % 2 else 1
                 r0 = tgt_offs[(q, p + 1)]
                 for c, col in enumerate(d.entries):
@@ -154,9 +305,8 @@ class HyperTotal:
             if (q + 1, p) in tgt_offs:
                 f = self.coeffs.differential(q).matrix
                 r0 = tgt_offs[(q + 1, p)]
-                slots = (self.group.order - 1) ** p
                 nt = self.coeffs.term(q + 1).gens
-                for s in range(slots):
+                for s in range(self.resolution.rank(p)):
                     out.add_block(r0 + s * nt, c0 + s * m.gens, f)
         return out
 
@@ -261,7 +411,7 @@ class _FiniteModule:
         for d in self.diag:
             self.size *= max(d, 1)
         if self.size > budget:
-            raise BudgetExceeded(f"module has {self.size} elements, budget {budget}")
+            raise BudgetExceeded(f"module has more than {budget} elements")
         ranges = [range(d) if d > 1 else range(1) for d in self.diag]
         self.elements = [tuple(t) for t in itertools.product(*ranges)]
         self.index = {t: i for i, t in enumerate(self.elements)}
@@ -310,7 +460,7 @@ def finite_coeff_bruteforce(
     n_slots = len(tuples)
     n_cochains = fm.size**n_slots
     if n_cochains > budget:
-        raise BudgetExceeded(f"{n_cochains} cochains exceed the budget {budget}")
+        raise BudgetExceeded(f"{fm.size}^{n_slots} cochains exceed the budget {budget}")
     slot_of = {t: i for i, t in enumerate(tuples)}
     e = group.identity
 

@@ -19,7 +19,9 @@ MODULE_RANK_CAP = 2 * ORDER_CAP
 
 
 class FiniteGroup:
-    __slots__ = ("order", "table", "identity", "inverse", "_element_orders")
+    # _resolution holds the group's small free resolution once
+    # cohomology.small_resolution has built it; it grows with the degrees asked.
+    __slots__ = ("order", "table", "identity", "inverse", "_element_orders", "_resolution")
 
     def __init__(self, table):
         table = [list(row) for row in table]
@@ -57,6 +59,7 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = inverse
         self._element_orders = None
+        self._resolution = None
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":

@@ -7,7 +7,9 @@ this module: Smith and Hermite forms, integer kernels, cycle lattices,
 image membership, and elementary-divisor invariants of cokernels and
 subquotients.  `SparseCols` holds the large, sparse cochain differentials;
 `cycle_lattice` eliminates their +-1 pivots on the sparse columns and
-hands only the remainder to the dense Hermite form.  `IntMatrix.mul` (the
+hands only the remainder to the dense Hermite form.  `LatticeSpan` is a
+sparse echelon basis that grows vector by vector, for repeated membership
+tests against a growing lattice.  `IntMatrix.mul` (the
 kernel's `matmul`) and the back-substitution in `solve_integer` skip zero
 entries: the permutation actions and block matrices they see are mostly
 zeros.
@@ -222,6 +224,55 @@ class SparseCols:
         return IntMatrix(self.rows, self.cols, data)
 
 
+def _sub_multiple(v: dict, q: int, b: dict) -> dict:
+    out = dict(v)
+    for i, x in b.items():
+        nv = out.get(i, 0) - q * x
+        if nv:
+            out[i] = nv
+        else:
+            out.pop(i, None)
+    return out
+
+
+class LatticeSpan:
+    """A sublattice of Z^n that grows one vector at a time, with membership tests.
+
+    Vectors are sparse {coordinate: value} dicts.  The basis is kept in
+    echelon form: each basis vector has a positive leading entry at its
+    lowest nonzero coordinate, and no two share that coordinate.  So a
+    vector lies in the lattice exactly when reducing it leading entry by
+    leading entry ends at zero.  Adding a vector whose leading entry is not
+    a multiple of the basis vector's runs Euclid's algorithm on the pair,
+    which keeps every step unimodular.
+    """
+
+    __slots__ = ("basis",)
+
+    def __init__(self):
+        self.basis = {}
+
+    def contains(self, v: dict) -> bool:
+        while v:
+            r = min(v)
+            b = self.basis.get(r)
+            if b is None or v[r] % b[r]:
+                return False
+            v = _sub_multiple(v, v[r] // b[r], b)
+        return True
+
+    def add(self, v: dict):
+        while v:
+            r = min(v)
+            b = self.basis.get(r)
+            if b is None:
+                self.basis[r] = dict(v) if v[r] > 0 else {i: -x for i, x in v.items()}
+                return
+            v = _sub_multiple(v, v[r] // b[r], b)
+            if r in v:  # 0 < v[r] < b[r]: v becomes the basis vector, b is reduced next
+                self.basis[r], v = v, b
+
+
 class SmithDecomposition:
     """u * a * v == d with u, v unimodular and d diagonal (d1 | d2 | ...)."""
 
@@ -234,6 +285,26 @@ class SmithDecomposition:
 
     def diagonal(self) -> list:
         return [self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols))]
+
+
+_CHUNK_DIGITS = 4000  # under the interpreter's default int-to-str limit of 4300 digits
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an integer of any length.
+
+    Python refuses to convert an int of more than 4300 digits to a string
+    unless the limit is lifted for the whole process; this converts it in
+    chunks that each stay under the limit.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunk = 10**_CHUNK_DIGITS
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(n) + "".join(reversed(parts))
 
 
 class AbelianInvariants:
@@ -281,7 +352,7 @@ class AbelianInvariants:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
+        parts.extend(f"Z/{_decimal(t)}" for t in self.torsion)
         return " x ".join(parts) if parts else "0"
 
     def __repr__(self):

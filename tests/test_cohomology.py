@@ -1,18 +1,21 @@
+import itertools
+
 import pytest
 
 from upic import cohomology
 from upic.cohomology import (
     COCHAIN_RANK_LIMIT,
+    RESOLUTION_BUILD_LIMIT,
+    BarResolution,
     HyperTotal,
     cochain_differential,
-    cochain_rank,
     cyclic_oracle,
     finite_coeff_bruteforce,
     group_cohomology,
     hypercohomology,
 )
 from upic.complexes import one_term, two_term, zero_complex
-from upic.errors import BudgetExceeded, DegreeTooLarge, NotCyclic
+from upic.errors import BudgetExceeded, DegreeTooLarge, ExactnessViolation, NotCyclic
 from upic.groups import FiniteGroup
 from upic.intmatrix import AbelianInvariants, IntMatrix
 from upic.modules import (
@@ -20,12 +23,24 @@ from upic.modules import (
     finite_cyclic_module,
     free_module,
     norm_one_lattice,
+    norm_one_lattice_of,
     regular_module,
     trivial_module,
 )
 
 T = FiniteGroup.trivial()
 C2 = FiniteGroup.cyclic(2)
+
+
+def elementary_abelian(k):
+    g = FiniteGroup.trivial()
+    for _ in range(k):
+        g = g.direct_product(C2)
+    return g
+
+
+def _no_assembly(*args):
+    raise AssertionError("cochains assembled for an oversized input")
 
 
 def sign_module(group=C2):
@@ -59,19 +74,18 @@ class TestGroupCohomology:
     def test_cochain_sizes(self):
         c6 = FiniteGroup.cyclic(6)
         m = regular_module(c6)
-        assert cochain_rank(c6, m, 3) == 6 * 125
+        assert BarResolution(c6).rank(3) * m.gens == 6 * 125
         d = cochain_differential(c6, m, 1)
         assert d.rows == 6 * 25 and d.cols == 6 * 5
 
     def test_cochain_differential_squares_to_zero(self):
-        from upic.cohomology import cochain_relations
         from upic.intmatrix import solve_integer
 
         c4 = FiniteGroup.cyclic(4)
         m = finite_cyclic_module(c4, 4)
         for p in (0, 1):
             square = cochain_differential(c4, m, p + 1).compose(cochain_differential(c4, m, p))
-            rel = cochain_relations(c4, m, p + 2)
+            rel = IntMatrix.block_diagonal([m.relations] * 3 ** (p + 2))
             for c in range(square.cols):
                 if square.entries[c]:
                     assert solve_integer(rel, square.column(c)) is not None
@@ -212,15 +226,37 @@ class TestHyper:
             hypercohomology(C2, one_term(s, 0), 4)
 
     def test_cochain_rank_limit(self, monkeypatch):
-        # C40 with trivial Z: degree-3 cochains have rank 39^3 = 59319
-        def no_assembly(*args):
-            raise AssertionError("cochains assembled for an oversized input")
-
-        monkeypatch.setattr(cohomology, "cochain_differential", no_assembly)
+        # C40 with trivial Z: over the small resolution (one generator per
+        # degree) H^2 is computed; over the bar resolution its degree-3
+        # cochains have rank 39^3 = 59319 and are refused before assembly
         g = FiniteGroup.cyclic(40)
+        z = trivial_module(g)
+        assert group_cohomology(g, z, 2) == AbelianInvariants(0, [40]) == cyclic_oracle(g, z, 2)
+
+        monkeypatch.setattr(cohomology, "hom_differential", _no_assembly)
         assert 39**3 > COCHAIN_RANK_LIMIT
         with pytest.raises(BudgetExceeded, match="rank 59319"):
-            group_cohomology(g, trivial_module(g), 2)
+            HyperTotal(g, one_term(z, 0), 2, resolution=BarResolution(g))
+
+    def test_resolution_build_limit(self, monkeypatch):
+        # H^4 of C2^5 needs F_5.  Any free resolution of C2^5 has r_4 >= 70,
+        # the F_2-Betti number C(8, 4), so the kernel step for F_5 (or an
+        # earlier one) is over the limit: refused before that step runs and
+        # before any cochain is assembled.
+        kernel_ranks = []
+        real_cycle_lattice = cohomology.cycle_lattice
+
+        def watched(d, relations):
+            kernel_ranks.append(d.cols)
+            return real_cycle_lattice(d, relations)
+
+        monkeypatch.setattr(cohomology, "hom_differential", _no_assembly)
+        monkeypatch.setattr(cohomology, "cycle_lattice", watched)
+        g = elementary_abelian(5)
+        assert 70 * g.order > RESOLUTION_BUILD_LIMIT
+        with pytest.raises(BudgetExceeded, match=f"over the limit {RESOLUTION_BUILD_LIMIT}"):
+            group_cohomology(g, trivial_module(g), 4, degree_bound=4)
+        assert kernel_ranks and max(kernel_ranks) <= RESOLUTION_BUILD_LIMIT
 
     def test_square_zero_check_runs(self):
         s = sign_module()
@@ -250,3 +286,191 @@ class TestHyper:
                     assert (ha.torsion_order() * hb.torsion_order()) % hk.torsion_order() == 0
                     cases += 1
         assert cases >= 18
+
+
+def _old_cochain_differential(group, m, p):
+    """The inhomogeneous differential built directly on tuples: the matrices the bar coboundary must reproduce."""
+    from upic.intmatrix import SparseCols
+
+    nonidentity = [g for g in range(group.order) if g != group.identity]
+    src = {t: i for i, t in enumerate(itertools.product(nonidentity, repeat=p))}
+    tgt = {t: i for i, t in enumerate(itertools.product(nonidentity, repeat=p + 1))}
+    n = m.gens
+    out = SparseCols(n * len(tgt), n * len(src))
+    if n == 0:
+        return out
+    ident = IntMatrix.identity(n)
+    e = group.identity
+    for tup, ti in tgt.items():
+        r0 = ti * n
+        out.add_block(r0, src[tup[1:]] * n, m.action_of(tup[0]))
+        for i in range(1, p + 1):
+            h = group.mul(tup[i - 1], tup[i])
+            if h != e:
+                merged = tup[: i - 1] + (h,) + tup[i + 1 :]
+                out.add_block(r0, src[merged] * n, ident, sign=(-1) ** i)
+        out.add_block(r0, src[tup[:p]] * n, ident, sign=(-1) ** (p + 1))
+    return out
+
+
+def _perm_group(*perms):
+    return FiniteGroup.from_permutations(perms)[0]
+
+
+SMALL_GROUPS = {
+    "C1": T,
+    "C2": C2,
+    "C3": FiniteGroup.cyclic(3),
+    "C4": FiniteGroup.cyclic(4),
+    "C5": FiniteGroup.cyclic(5),
+    "C6": FiniteGroup.cyclic(6),
+    "K4": FiniteGroup.klein_four(),
+    "S3": FiniteGroup.symmetric(3),
+}
+
+
+# the groups of order 7 to 12 that the tests build (test_homspace's Schur
+# multiplier and frontier cases); with SMALL_GROUPS, every group up to order 12
+AGREEMENT_GROUPS = {
+    **SMALL_GROUPS,
+    "C2xC4": C2.direct_product(FiniteGroup.cyclic(4)),
+    "D4": _perm_group((1, 2, 3, 0), (0, 3, 2, 1)),
+    "Q8": _perm_group((1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)),
+    "C2^3": elementary_abelian(3),
+    "C9": FiniteGroup.cyclic(9),
+    "A4": _perm_group((1, 2, 0, 3), (1, 0, 3, 2)),
+    "C2xC6": C2.direct_product(FiniteGroup.cyclic(6)),
+    "C12": FiniteGroup.cyclic(12),
+}
+# Largest bar rank of Tot^(n+1) the agreement test runs.  Free coefficients
+# up to rank 3750 take under 0.5 s; torsion ones send every relation column
+# to the dense Hermite form (D4 with Z/6 in degree 3, rank 2401, took 263 s).
+BAR_TEST_RANK = {"free": 4000, "torsion": 700}
+
+
+def _coefficients(group):
+    return {
+        "Z": trivial_module(group),
+        "Z[G]": regular_module(group),
+        "J_G": norm_one_lattice_of(group),
+        "Z/6": finite_cyclic_module(group, 6),
+    }
+
+
+def _bar_route(group, coeffs, degree):
+    return HyperTotal(group, coeffs, degree, resolution=BarResolution(group)).cohomology()[1]
+
+
+class TestResolutions:
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_bar_reproduces_inhomogeneous_differential(self, name, rng):
+        from conftest import random_module
+
+        g = SMALL_GROUPS[name]
+        mods = list(_coefficients(g).values()) + [random_module(g, rng)]
+        for m in mods:
+            for p in range(3):
+                new, old = cochain_differential(g, m, p), _old_cochain_differential(g, m, p)
+                assert (new.rows, new.cols) == (old.rows, old.cols)
+                assert new.entries == old.entries
+
+    @pytest.mark.parametrize("name", list(AGREEMENT_GROUPS))
+    def test_bar_and_small_agree(self, name):
+        # degrees 0-3 with trivial Z on every group (bar rank at most 11^4,
+        # about 3 s each at order 12), the other coefficients wherever their
+        # bar cochains are affordable: all of them up to order 6
+        g = AGREEMENT_GROUPS[name]
+        compared = 0
+        for label, m in _coefficients(g).items():
+            limit = BAR_TEST_RANK["torsion" if m.relations.cols else "free"]
+            for degree in range(4):
+                if label == "Z" or m.gens * (g.order - 1) ** (degree + 1) <= limit:
+                    assert group_cohomology(g, m, degree) == _bar_route(g, one_term(m, 0), degree), (label, degree)
+                    compared += 1
+        assert compared == 16 if g.order <= 6 else compared >= 10
+
+    def test_hypercohomology_agrees_on_fixture_complexes(self):
+        from upic.cli import FIXTURES, fixture_text
+        from upic.homspace import upic_complex
+        from upic.taskfile import parse_task_text
+
+        cases = 0
+        for name in FIXTURES:
+            built = parse_task_text(fixture_text(name)).build()
+            for data in built.homspace.values():
+                k = upic_complex(data)
+                for degree in range(4):
+                    assert hypercohomology(built.group, k, degree) == _bar_route(built.group, k, degree)
+                    cases += 1
+        assert cases >= 36
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "K4", "S3"])
+    def test_hypercohomology_agrees_on_random_maps(self, name, rng):
+        from conftest import random_equivariant_map, random_module
+
+        g = SMALL_GROUPS[name]
+        for _ in range(2):
+            a, b = random_module(g, rng), random_module(g, rng)
+            k = two_term(random_equivariant_map(a, b, rng))
+            for degree in range(4):
+                assert hypercohomology(g, k, degree) == _bar_route(g, k, degree)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("doubled", "proper sublattice"), ("stray term", "do not compose to zero")],
+    )
+    def test_tampered_boundary(self, monkeypatch, level, kind, message):
+        # doubling a boundary keeps d d = 0 but leaves index 2^k in the kernel;
+        # adding the generator below to it breaks d d = 0
+        real = cohomology._choose_generators
+        calls = []
+
+        def tampered(group, kernel, rows):
+            gens = real(group, kernel, rows)
+            calls.append(len(calls) + 1)
+            if calls[-1] == level:
+                first = gens[0]
+                if kind == "doubled":
+                    gens[0] = {key: 2 * c for key, c in first.items()}
+                else:
+                    key = (0, group.identity)
+                    gens[0] = {**first, key: first.get(key, 0) + 1}
+            return gens
+
+        monkeypatch.setattr(cohomology, "_choose_generators", tampered)
+        g = FiniteGroup.cyclic(4)
+        with pytest.raises(ExactnessViolation, match=message):
+            group_cohomology(g, trivial_module(g), 2)
+
+    def test_concurrent_extension(self):
+        # threads sharing one group extend its cached resolution; each level
+        # must be appended once, and every thread must see the same values
+        import sys
+        import threading
+
+        alone = FiniteGroup.symmetric(4)
+        want = {d: group_cohomology(alone, trivial_module(alone), d) for d in (1, 2, 3)}
+        reference = alone._resolution
+        g = FiniteGroup.symmetric(4)
+        results, errors = [], []
+
+        def work(degree):
+            try:
+                results.append((degree, group_cohomology(g, trivial_module(g), degree)))
+            except Exception as e:  # reported through the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(1 + k % 3,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(results) == 8 and all(value == want[d] for d, value in results)
+        assert g._resolution.boundaries == reference.boundaries

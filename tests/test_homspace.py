@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from upic.complexes import cohomology_invariants
@@ -34,6 +36,32 @@ T = FiniteGroup.trivial()
 def make_data(group, xg, xh, res_matrix=None, **kw):
     mat = res_matrix if res_matrix is not None else IntMatrix.zeros(xh.gens, xg.gens)
     return HomSpaceData(group, xg, xh, ModuleMap(xg, xh, mat), **kw)
+
+
+def _product(*groups):
+    out = FiniteGroup.trivial()
+    for g in groups:
+        out = out.direct_product(g)
+    return out
+
+
+C2 = FiniteGroup.cyclic(2)
+# name: (group, G^ab, Schur multiplier), as invariant factors
+FRONTIER = {
+    "C12": (lambda: FiniteGroup.cyclic(12), [12], []),
+    "C14": (lambda: FiniteGroup.cyclic(14), [14], []),
+    "C48": (lambda: FiniteGroup.cyclic(48), [48], []),
+    "A4": (lambda: FiniteGroup.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)])[0], [3], [2]),
+    "C2xC6": (lambda: _product(C2, FiniteGroup.cyclic(6)), [2, 6], [2]),
+    "C4xC4": (lambda: _product(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)), [4, 4], [4]),
+    "D8": (
+        lambda: FiniteGroup.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])[0],
+        [2, 2],
+        [2],
+    ),
+    "C2^4": (lambda: _product(C2, C2, C2, C2), [2] * 4, [2] * 6),
+    "S4": (lambda: FiniteGroup.symmetric(4), [2], [2]),
+}
 
 
 def sln_normalizer_data():
@@ -104,6 +132,20 @@ class TestPicBrauer:
         for g, schur in cases:
             d = make_data(g, norm_one_lattice_of(g), zero_module(g))
             assert brauer_a(d).value == AbelianInvariants(0, schur)
+
+    @pytest.mark.parametrize("name", list(FRONTIER))
+    def test_frontier_closed_forms(self, name):
+        # pic on J_G = H^2(G, Z), the dual of G^ab; brauer_a on J_G =
+        # H^3(G, Z), the Schur multiplier.  The bar resolution refused or took
+        # seconds on all of these; each case here must finish within 10 s.
+        build, abelianization, schur = FRONTIER[name]
+        start = time.perf_counter()
+        g = build()
+        d = make_data(g, norm_one_lattice_of(g), zero_module(g))
+        assert pic(d).value == AbelianInvariants(0, abelianization)
+        assert brauer_a(d).value == AbelianInvariants(0, schur)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"J_{name} pic and brauer_a took {elapsed:.2f}s"
 
     def test_split_complex_additivity(self, rng):
         # with a zero restriction map and torsion-free stabilizer characters,

@@ -267,6 +267,7 @@ class TestCLI:
         assert out == ""
 
     def test_cochain_rank_limit_exit_4(self, capsys, tmp_path):
+        # C40 H^2(Z) is computed over the small resolution and checked by the cyclic oracle
         doc = {
             "format": "upic-task-v1",
             "group": {"table": [[(i + j) % 40 for j in range(40)] for i in range(40)]},
@@ -274,11 +275,47 @@ class TestCLI:
             "modules": {"Z": {"gens": 1, "relations": [], "action": [[[1]]]}},
             "tasks": [{"op": "group_cohomology", "module": "Z", "degree": 2}],
         }
+        p = tmp_path / "c40.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = self.run_cli(capsys, "run", str(p), "--oracle", "on")
+        assert code == 0
+        assert "H^2(Z) = Z/40 | oracle: cyclic oracle agreed" in out
+        # C2^5 H^4(Z) needs F_5, whose kernel step is over the build limit
+        doc["group"] = {"table": [[i ^ j for j in range(32)] for i in range(32)]}
+        doc["generators"] = [1, 2, 4, 8, 16]
+        doc["modules"]["Z"]["action"] = [[[1]]] * 5
+        doc["tasks"][0]["degree"] = 4
         p = tmp_path / "big.task"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = self.run_cli(capsys, "run", str(p))
+        code, out, err = self.run_cli(capsys, "run", str(p), "--degree-bound", "4")
         assert code == 4
-        assert "rank 59319" in err and out == ""
+        assert "over the limit" in err and out == ""
+
+    @pytest.mark.parametrize("oracle", ["off", "on"])
+    def test_invariant_beyond_int_str_limit(self, capsys, tmp_path, oracle):
+        # H^0 of Z^2 / diag(10^4000 + 1, 10^4000 + 3) under C2 (or K4) is cyclic
+        # of order 10^8000 + 4*10^4000 + 3, longer than Python's 4300-digit
+        # int-to-str limit; it is rendered in full
+        a, b = 10**4000 + 1, 10**4000 + 3
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": [[0, 1], [1, 0]]},
+            "generators": [1],
+            "modules": {"M": {"gens": 2, "relations": [[a, 0], [0, b]], "action": [[[1, 0], [0, 1]]]}},
+            "tasks": [{"op": "group_cohomology", "module": "M", "degree": 0}],
+        }
+        if oracle == "on":  # not cyclic: the enumeration oracle is asked, and is over budget
+            doc["group"] = {"table": [[i ^ j for j in range(4)] for i in range(4)]}
+            doc["generators"] = [1, 2]
+            doc["modules"]["M"]["action"] = [[[1, 0], [0, 1]]] * 2
+        p = tmp_path / "huge.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        out_path = tmp_path / "records.json"
+        code, out, err = self.run_cli(capsys, "run", str(p), "--oracle", oracle, "--out", str(out_path))
+        assert code == 0, err
+        order = "1" + "0" * 3999 + "4" + "0" * 3999 + "3"
+        assert f"H^0(M) = Z/{order}" in out
+        assert json.loads(out_path.read_text())[0]["result"] == f"Z/{order}"
 
     def test_fixtures_run_all(self, capsys):
         code = main(["fixtures", "--run-all"])
