@@ -20,13 +20,7 @@ from importlib import resources
 
 from . import __version__
 from ._backend import backend_name
-from .cohomology import (
-    DEFAULT_DEGREE_BOUND,
-    cyclic_oracle,
-    finite_coeff_bruteforce,
-    group_cohomology,
-    hypercohomology,
-)
+from .cohomology import cyclic_oracle, finite_coeff_bruteforce, group_cohomology, hypercohomology
 from .complexes import one_term
 from .errors import BudgetExceeded, TaskError, TaskFileError, UpicError, ValidationError
 from .homspace import brauer_a, pic, topological_report, upic_complex, upic_dual, verify_torus_comparison
@@ -79,18 +73,18 @@ def _degree(task: dict) -> int:
     return _FIXED_DEGREE.get(task["op"], task.get("degree", 1))
 
 
-def _run_one(built: BuiltTasks, task: dict, degree_bound: int, oracle: bool) -> dict:
+def _run_one(built: BuiltTasks, task: dict, oracle: bool) -> dict:
     op = task["op"]
     arg = built.input_of(task)
     record = {"task": task, "tool": TOOL}
     if op in ("pic", "brauer_a", "hypercohomology", "group_cohomology"):
         degree = _degree(task)
         if op == "group_cohomology":
-            value = group_cohomology(built.group, arg, degree, degree_bound)
+            value = group_cohomology(built.group, arg, degree)
         elif op == "hypercohomology":
-            value = hypercohomology(built.group, upic_complex(arg), degree, degree_bound)
+            value = hypercohomology(built.group, upic_complex(arg), degree)
         else:
-            rep = (pic if op == "pic" else brauer_a)(arg, degree_bound)
+            rep = (pic if op == "pic" else brauer_a)(arg)
             value = rep.value
             record.update(caveat=rep.caveat, assumes_pic_trivial=rep.assume_pic_trivial)
         record["result"] = value.render()
@@ -145,11 +139,11 @@ def _describe(task: dict) -> str:
     return f"{op}({name})"
 
 
-def run_tasks(built: BuiltTasks, degree_bound: int, oracle: bool) -> list:
+def run_tasks(built: BuiltTasks, oracle: bool) -> list:
     records = []
     for idx, task in enumerate(built.tasks, start=1):
         t0 = time.perf_counter()
-        record = _run_one(built, task, degree_bound, oracle)
+        record = _run_one(built, task, oracle)
         record["seconds"] = round(time.perf_counter() - t0, 6)
         record["index"] = idx
         records.append(record)
@@ -186,7 +180,7 @@ def _cmd_run(args) -> int:
         print(f"validation error: {e}", file=sys.stderr)
         return 3
     try:
-        records = run_tasks(built, args.degree_bound, args.oracle == "on")
+        records = run_tasks(built, args.oracle == "on")
     except UpicError as e:
         print(f"task error: {e}", file=sys.stderr)
         return 4
@@ -247,7 +241,7 @@ def _cmd_fixtures(args) -> int:
         tf = parse_task_text(fixture_text(name))
         built = tf.build()
         try:
-            records = run_tasks(built, args.degree_bound, args.oracle == "on")
+            records = run_tasks(built, args.oracle == "on")
         except UpicError as e:
             failures.append(f"{name}: {e}")
             continue
@@ -276,7 +270,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a task file")
     p_run.add_argument("file")
     p_run.add_argument("--out", help="write machine-readable JSON records here")
-    p_run.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
     p_run.add_argument("--oracle", choices=("on", "off"), default="off")
     p_run.set_defaults(func=_cmd_run)
 
@@ -284,7 +277,6 @@ def main(argv=None) -> int:
     group = p_fix.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", default=False)
     group.add_argument("--run-all", action="store_true", default=False)
-    p_fix.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
     p_fix.add_argument("--oracle", choices=("on", "off"), default="off")
     p_fix.set_defaults(func=_cmd_fixtures)
 

@@ -21,10 +21,11 @@ delta beta).  D*D = 0 is machine-checked on every instance before any
 invariant is reported.  Group cohomology is the one-term case: the module
 placed in degree 0.
 
-Two budgets stop large inputs before the work: COCHAIN_RANK_LIMIT bounds
-the rank of the cochains HyperTotal assembles, RESOLUTION_BUILD_LIMIT the
-lattice whose kernel each new F_p is taken from.  The differentials are
-sparse columns and reach `cycle_lattice` in that form.
+Three limits stop large inputs before the work: DEGREE_LIMIT bounds the
+degree HyperTotal is asked for, COCHAIN_RANK_LIMIT the rank of the cochains
+it assembles, RESOLUTION_BUILD_LIMIT the lattice whose kernel each new F_p
+is taken from; ENUMERATION_LIMIT bounds the enumeration oracle.  The
+differentials are sparse columns and reach `cycle_lattice` in that form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 import threading
 
 from .complexes import BoundedComplex, one_term
-from .errors import BudgetExceeded, DegreeTooLarge, ExactnessViolation, NotCyclic, ValidationError
+from .errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
 from .groups import ORDER_CAP, FiniteGroup
 from .intmatrix import (
     AbelianInvariants,
@@ -49,8 +50,13 @@ from .intmatrix import (
 )
 from .modules import PresentedModule
 
-DEFAULT_DEGREE_BOUND = 3
-DEFAULT_ENUMERATION_BUDGET = 1 << 20
+# Largest degree HyperTotal computes.  Pic and Br_a need H^1 and H^2, and 4
+# keeps H^4(C2, Z) and the C2^5 build-limit refusal in reach.  The other
+# limits grow with the ranks, and a cyclic group's resolution has rank 1 in
+# every degree, so only this one stops a degree of 10^9.
+DEGREE_LIMIT = 4
+# Largest number of elements, and of cochains, the enumeration oracle lists.
+ENUMERATION_LIMIT = 1 << 20
 # Largest total rank of the degree-(n+1) cochains HyperTotal assembles for
 # H^n.  Over the bar resolution brauer_a on J_G needs (|G|-1)^4 and is
 # refused from order 16; over the small resolution it stays in the thousands.
@@ -231,8 +237,9 @@ class HyperTotal:
     Builds the summands Tot^n = (+)_q Hom_G(F_(n-q), K^q) for the degrees
     n0-1, n0, n0+1 needed to read off H^n0, assembles D, and verifies
     D composed with D vanishes modulo the relation lattice.  The resolution
-    defaults to the group's small resolution.  A rank of Tot^(n0+1) over
-    COCHAIN_RANK_LIMIT raises BudgetExceeded before any differential is
+    defaults to the group's small resolution.  A degree over DEGREE_LIMIT
+    raises BudgetExceeded before any resolution level is built, and a rank
+    of Tot^(n0+1) over COCHAIN_RANK_LIMIT before any differential is
     assembled.
     """
 
@@ -243,11 +250,10 @@ class HyperTotal:
         group: FiniteGroup,
         coeffs: BoundedComplex,
         degree: int,
-        degree_bound: int = DEFAULT_DEGREE_BOUND,
         resolution: BarResolution | SmallResolution | None = None,
     ):
-        if degree > degree_bound:
-            raise DegreeTooLarge(f"degree {degree} exceeds the configured bound {degree_bound}")
+        if degree > DEGREE_LIMIT:
+            raise BudgetExceeded(f"degree {degree} is over the limit {DEGREE_LIMIT}")
         self.group = group
         self.coeffs = coeffs
         self.degree = degree
@@ -330,28 +336,18 @@ class HyperTotal:
         return sq, subquotient_invariants(sq)
 
 
-def hypercohomology(
-    group: FiniteGroup,
-    coeffs: BoundedComplex,
-    degree: int,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> AbelianInvariants:
+def hypercohomology(group: FiniteGroup, coeffs: BoundedComplex, degree: int) -> AbelianInvariants:
     """H^degree of the group valued in a bounded complex of modules."""
     if degree < min(coeffs.degrees(), default=0):
         return AbelianInvariants(0)
-    return HyperTotal(group, coeffs, degree, degree_bound).cohomology()[1]
+    return HyperTotal(group, coeffs, degree).cohomology()[1]
 
 
-def group_cohomology(
-    group: FiniteGroup,
-    m: PresentedModule,
-    degree: int,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> AbelianInvariants:
+def group_cohomology(group: FiniteGroup, m: PresentedModule, degree: int) -> AbelianInvariants:
     """H^degree(group, m): the hypercohomology of m placed in degree 0."""
     if degree < 0:
         raise ValueError("negative degree")
-    return hypercohomology(group, one_term(m, 0), degree, degree_bound)
+    return hypercohomology(group, one_term(m, 0), degree)
 
 
 def _norm_and_shift(group: FiniteGroup, m: PresentedModule, generator: int):
@@ -397,7 +393,7 @@ class _FiniteModule:
 
     __slots__ = ("m", "diag", "u", "u_inv", "elements", "index", "action_tables", "size")
 
-    def __init__(self, m: PresentedModule, budget: int):
+    def __init__(self, m: PresentedModule):
         inv = m.underlying_invariants()
         if inv.free_rank:
             raise ValidationError(["module is infinite; the enumeration oracle needs finite coefficients"])
@@ -410,8 +406,8 @@ class _FiniteModule:
         self.size = 1
         for d in self.diag:
             self.size *= max(d, 1)
-        if self.size > budget:
-            raise BudgetExceeded(f"module has more than {budget} elements")
+        if self.size > ENUMERATION_LIMIT:
+            raise BudgetExceeded(f"module has more than {ENUMERATION_LIMIT} elements")
         ranges = [range(d) if d > 1 else range(1) for d in self.diag]
         self.elements = [tuple(t) for t in itertools.product(*ranges)]
         self.index = {t: i for i, t in enumerate(self.elements)}
@@ -441,73 +437,52 @@ class _FiniteModule:
         return self.index[self._reduce([k * x for x in self.elements[i]])]
 
 
-def finite_coeff_bruteforce(
-    group: FiniteGroup,
-    m: PresentedModule,
-    degree: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> AbelianInvariants:
+def finite_coeff_bruteforce(group: FiniteGroup, m: PresentedModule, degree: int) -> AbelianInvariants:
     """H^degree by exhaustive enumeration of normalized cochains.
 
     Only for finite coefficient modules and degree <= 2; the number of
-    cochains |M|^((order-1)^degree) must stay within the budget.  This is
-    the second independent verification path next to the cyclic oracle.
+    cochains |M|^((order-1)^degree) must stay within ENUMERATION_LIMIT.
+    This is the second independent verification path next to the cyclic
+    oracle.
     """
     if degree < 0 or degree > 2:
         raise ValueError("enumeration oracle supports degrees 0..2")
-    fm = _FiniteModule(m, budget)
-    tuples = list(itertools.product(_nonidentity(group), repeat=degree))
-    n_slots = len(tuples)
-    n_cochains = fm.size**n_slots
-    if n_cochains > budget:
-        raise BudgetExceeded(f"{fm.size}^{n_slots} cochains exceed the budget {budget}")
-    slot_of = {t: i for i, t in enumerate(tuples)}
+    fm = _FiniteModule(m)
+    slot_of = _slots(group, degree)
+    n_slots = len(slot_of)
+    if fm.size**n_slots > ENUMERATION_LIMIT:
+        raise BudgetExceeded(f"{fm.size}^{n_slots} cochains exceed the limit {ENUMERATION_LIMIT}")
     e = group.identity
+    zero = fm.zero()
 
-    def dvalue(cochain, tup):
-        # (d c)(g_0..g_degree) with normalized-vanishing convention
-        acc = fm.action_tables[tup[0]][cochain[slot_of[tup[1:]]]] if degree else fm.action_tables[tup[0]][cochain[0]]
+    def coboundary(cochain, index, tup):
+        # (d c)(g_1..g_k) for the (k-1)-cochain c whose slots `index` numbers;
+        # normalized, so a face with an identity entry contributes nothing
+        acc = fm.action_tables[tup[0]][cochain[index[tup[1:]]]]
         sign = -1
-        for i in range(1, degree + 1):
+        for i in range(1, len(tup)):
             h = group.mul(tup[i - 1], tup[i])
             if h != e:
-                merged = tup[: i - 1] + (h,) + tup[i + 1 :]
-                v = cochain[slot_of[merged]]
+                v = cochain[index[tup[: i - 1] + (h,) + tup[i + 1 :]]]
                 acc = fm.add(acc, v if sign > 0 else fm.neg(v))
             sign = -sign
-        v = cochain[slot_of[tup[:degree]]]
-        acc = fm.add(acc, v if sign > 0 else fm.neg(v))
-        return acc
+        v = cochain[index[tup[:-1]]]
+        return fm.add(acc, v if sign > 0 else fm.neg(v))
 
     up_tuples = list(itertools.product(_nonidentity(group), repeat=degree + 1))
-    zero = fm.zero()
-    cocycles = []
-    for cochain in itertools.product(range(fm.size), repeat=n_slots):
-        if all(dvalue(cochain, tup) == zero for tup in up_tuples):
-            cocycles.append(cochain)
-
+    cocycles = [
+        cochain
+        for cochain in itertools.product(range(fm.size), repeat=n_slots)
+        if all(coboundary(cochain, slot_of, tup) == zero for tup in up_tuples)
+    ]
     if degree == 0:
-        coboundaries = {tuple([zero] * n_slots)} if n_slots else {()}
+        coboundaries = {(zero,)}
     else:
-        down_tuples = list(itertools.product(_nonidentity(group), repeat=degree - 1))
-        down_slot = {t: i for i, t in enumerate(down_tuples)}
-        coboundaries = set()
-        for low in itertools.product(range(fm.size), repeat=len(down_tuples)):
-            img = []
-            for tup in tuples:
-                acc = fm.action_tables[tup[0]][low[down_slot[tup[1:]]]]
-                sign = -1
-                for i in range(1, degree):
-                    h = group.mul(tup[i - 1], tup[i])
-                    if h != e:
-                        merged = tup[: i - 1] + (h,) + tup[i + 1 :]
-                        v = low[down_slot[merged]]
-                        acc = fm.add(acc, v if sign > 0 else fm.neg(v))
-                    sign = -sign
-                v = low[down_slot[tup[: degree - 1]]]
-                acc = fm.add(acc, v if sign > 0 else fm.neg(v))
-                img.append(acc)
-            coboundaries.add(tuple(img))
+        down_slot = _slots(group, degree - 1)
+        coboundaries = {
+            tuple(coboundary(low, down_slot, tup) for tup in slot_of)
+            for low in itertools.product(range(fm.size), repeat=len(down_slot))
+        }
 
     def vec_scale(k, cochain):
         return tuple(fm.scale(k, x) for x in cochain)

@@ -142,9 +142,9 @@ def zero_complex(group: FiniteGroup) -> BoundedComplex:
     return BoundedComplex(group, 0, [], [], check=False)
 
 
-def two_term(f: ModuleMap, base_degree: int = 0) -> BoundedComplex:
-    """The fibre-convention complex [source -> target> in degrees base, base+1."""
-    return BoundedComplex(f.source.group, base_degree, [f.source, f.target], [f])
+def two_term(f: ModuleMap) -> BoundedComplex:
+    """The fibre-convention complex [source -> target> in degrees 0 and 1."""
+    return BoundedComplex(f.source.group, 0, [f.source, f.target], [f])
 
 
 class ComplexMap:

@@ -21,10 +21,6 @@ class NotCyclic(UpicError):
     pass
 
 
-class DegreeTooLarge(UpicError):
-    pass
-
-
 class BudgetExceeded(UpicError):
     pass
 

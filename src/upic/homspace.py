@@ -16,7 +16,7 @@ disagreement is raised as an internal error, never returned as a value.
 
 from __future__ import annotations
 
-from .cohomology import DEFAULT_DEGREE_BOUND, hypercohomology
+from .cohomology import hypercohomology
 from .complexes import (
     BoundedComplex,
     ComplexMap,
@@ -63,9 +63,9 @@ class HomSpaceData:
             problems.append("modules must live over the declared group")
         if not xg.torsion_free():
             problems.append("the character lattice of the acting group must be torsion free")
-        if res.source is not xg or res.target is not xh:
-            if res.matrix.rows != xh.gens or res.matrix.cols != xg.gens:
-                problems.append("restriction map does not connect the two modules")
+        # equal, not only identical: callers build equal modules separately
+        if not (res.source is xg or res.source == xg) or not (res.target is xh or res.target == xh):
+            problems.append("restriction map does not connect the two modules")
         problems.extend(f"acting-group lattice: {v}" for v in validate_module(xg))
         problems.extend(f"stabilizer characters: {v}" for v in validate_module(xh))
         problems.extend(f"restriction map: {v}" for v in res.validate())
@@ -95,13 +95,13 @@ def upic_complex(data: HomSpaceData) -> BoundedComplex:
     return two_term(data.res)
 
 
-def pic(data: HomSpaceData, degree_bound: int = DEFAULT_DEGREE_BOUND) -> InvariantReport:
-    value = hypercohomology(data.group, upic_complex(data), 1, degree_bound)
+def pic(data: HomSpaceData) -> InvariantReport:
+    value = hypercohomology(data.group, upic_complex(data), 1)
     return InvariantReport(value, PIC_CAVEAT, data.assume_pic_trivial)
 
 
-def brauer_a(data: HomSpaceData, degree_bound: int = DEFAULT_DEGREE_BOUND) -> InvariantReport:
-    value = hypercohomology(data.group, upic_complex(data), 2, degree_bound)
+def brauer_a(data: HomSpaceData) -> InvariantReport:
+    value = hypercohomology(data.group, upic_complex(data), 2)
     return InvariantReport(value, BRAUER_CAVEAT, data.assume_pic_trivial)
 
 

@@ -22,7 +22,7 @@ from .intmatrix import (
 
 
 class PresentedModule:
-    __slots__ = ("group", "gens", "relations", "action", "_stacked_rel")
+    __slots__ = ("group", "gens", "relations", "action", "_violations")
 
     def __init__(self, group: FiniteGroup, gens: int, relations: IntMatrix, action):
         action = tuple(action)
@@ -37,7 +37,7 @@ class PresentedModule:
         self.gens = gens
         self.relations = relations
         self.action = action
-        self._stacked_rel = None
+        self._violations = None  # validate_module's result, kept: the module is immutable
 
     def action_of(self, g: int) -> IntMatrix:
         return self.action[g]
@@ -84,7 +84,12 @@ class PresentedModule:
 
 
 def validate_module(m: PresentedModule) -> list:
-    """All violated presentation invariants, as strings (empty means valid)."""
+    """All violated presentation invariants, as strings (empty means valid).
+
+    Computed once per module object; later calls return the kept list.
+    """
+    if m._violations is not None:
+        return list(m._violations)
     out = []
     ident = IntMatrix.identity(m.gens)
     if not m.matrix_congruent(m.action_of(m.group.identity), ident):
@@ -97,6 +102,7 @@ def validate_module(m: PresentedModule) -> list:
             gh = m.group.mul(g, h)
             if not m.matrix_congruent(m.action_of(g).mul(m.action_of(h)), m.action_of(gh)):
                 out.append(f"action({g})*action({h}) differs from action({gh}) modulo relations")
+    m._violations = tuple(out)
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from upic import cohomology
 from upic.cohomology import (
     COCHAIN_RANK_LIMIT,
+    DEGREE_LIMIT,
     RESOLUTION_BUILD_LIMIT,
     BarResolution,
     HyperTotal,
@@ -15,7 +16,7 @@ from upic.cohomology import (
     hypercohomology,
 )
 from upic.complexes import one_term, two_term, zero_complex
-from upic.errors import BudgetExceeded, DegreeTooLarge, ExactnessViolation, NotCyclic
+from upic.errors import BudgetExceeded, ExactnessViolation, NotCyclic
 from upic.groups import FiniteGroup
 from upic.intmatrix import AbelianInvariants, IntMatrix
 from upic.modules import (
@@ -67,9 +68,10 @@ class TestGroupCohomology:
         assert group_cohomology(T, finite_cyclic_module(T, 6), 2).is_trivial
 
     def test_degree_bound(self):
-        with pytest.raises(DegreeTooLarge):
-            group_cohomology(C2, trivial_module(C2), 4)
-        assert group_cohomology(C2, trivial_module(C2), 4, degree_bound=4) == AbelianInvariants(0, [2])
+        assert DEGREE_LIMIT == 4
+        assert group_cohomology(C2, trivial_module(C2), 4) == AbelianInvariants(0, [2])
+        with pytest.raises(BudgetExceeded, match="degree 5 is over the limit 4"):
+            group_cohomology(C2, trivial_module(C2), 5)
 
     def test_cochain_sizes(self):
         c6 = FiniteGroup.cyclic(6)
@@ -137,7 +139,7 @@ class TestBruteForce:
     def test_budget(self):
         c4 = FiniteGroup.cyclic(4)
         with pytest.raises(BudgetExceeded):
-            finite_coeff_bruteforce(c4, finite_cyclic_module(c4, 6), 2, budget=1000)
+            finite_coeff_bruteforce(c4, finite_cyclic_module(c4, 6), 2)
 
     def test_matches_cochains(self):
         for group in (C2, FiniteGroup.cyclic(3), FiniteGroup.klein_four()):
@@ -213,17 +215,24 @@ class TestHyper:
             assert hypercohomology(c3, shift(k, 1), i) == hypercohomology(c3, k, i + 1)
 
     def test_degree_three_periodicity(self):
-        # cyclic period two visible at the degree bound
+        # cyclic period two visible in degree 3
         for n in (2, 3):
             g = FiniteGroup.cyclic(n)
             j = norm_one_lattice(n)
             assert group_cohomology(g, j, 3) == cyclic_oracle(g, j, 3)
             assert cyclic_oracle(g, j, 3) == cyclic_oracle(g, j, 1)
 
-    def test_degree_bound(self):
-        s = sign_module()
-        with pytest.raises(DegreeTooLarge):
-            hypercohomology(C2, one_term(s, 0), 4)
+    def test_degree_bound(self, monkeypatch):
+        # refused before any resolution level is built or cochain assembled
+        monkeypatch.setattr(cohomology, "hom_differential", _no_assembly)
+        monkeypatch.setattr(cohomology, "cycle_lattice", _no_assembly)
+        g = FiniteGroup.cyclic(2)
+        s = sign_module(g)
+        with pytest.raises(BudgetExceeded, match=f"degree {DEGREE_LIMIT + 1} is over the limit {DEGREE_LIMIT}"):
+            hypercohomology(g, one_term(s, 0), DEGREE_LIMIT + 1)
+        with pytest.raises(BudgetExceeded, match="over the limit"):
+            hypercohomology(g, two_term(ModuleMap.zero(s, s)), 10**9)
+        assert g._resolution is None
 
     def test_cochain_rank_limit(self, monkeypatch):
         # C40 with trivial Z: over the small resolution (one generator per
@@ -255,7 +264,7 @@ class TestHyper:
         g = elementary_abelian(5)
         assert 70 * g.order > RESOLUTION_BUILD_LIMIT
         with pytest.raises(BudgetExceeded, match=f"over the limit {RESOLUTION_BUILD_LIMIT}"):
-            group_cohomology(g, trivial_module(g), 4, degree_bound=4)
+            group_cohomology(g, trivial_module(g), 4)
         assert kernel_ranks and max(kernel_ranks) <= RESOLUTION_BUILD_LIMIT
 
     def test_square_zero_check_runs(self):

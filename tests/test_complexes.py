@@ -59,7 +59,7 @@ class TestTwoTerm:
         assert c.trim().highest_degree == 0
 
     def test_base_degree(self):
-        c = two_term(times(2), base_degree=5)
+        c = shift(two_term(times(2)), -5)
         assert cohomology_invariants(c, 6) == AbelianInvariants(0, [2])
 
     def test_dd_zero_enforced(self):

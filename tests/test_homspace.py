@@ -88,6 +88,17 @@ class TestUPicComplex:
         with pytest.raises(ValidationError):
             make_data(c2, trivial_module(c2), sign, IntMatrix(1, 1, [[1]]))
 
+    def test_res_between_other_modules_rejected(self):
+        # a restriction map of the right shape that starts at another rank-2
+        # module would compute on that module: pic 0 instead of J_C3's Z/3
+        j = norm_one_lattice(3)
+        c3 = j.group
+        with pytest.raises(ValidationError, match="does not connect"):
+            HomSpaceData(c3, j, zero_module(c3), ModuleMap.zero(trivial_module(c3, 2), zero_module(c3)))
+        # equal modules built separately do connect
+        data = HomSpaceData(c3, j, zero_module(c3), ModuleMap.zero(norm_one_lattice_of(c3), zero_module(c3)))
+        assert pic(data).value == AbelianInvariants(0, [3])
+
 
 class TestPicBrauer:
     def test_sln_normalizer(self):

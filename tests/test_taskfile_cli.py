@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main
+from upic.cohomology import DEGREE_LIMIT
 from upic.errors import TaskFileError, ValidationError
 from upic.taskfile import OPS, parse_task_text
 
@@ -180,6 +181,17 @@ class TestCLI:
         assert code == 3
         assert not out_path.exists()
 
+    def test_res_from_another_module_exit_3(self, capsys, tmp_path):
+        doc = fixture_doc("norm_one_3")
+        doc["modules"]["Z2"] = {"gens": 2, "relations": [], "action": [[[1, 0], [0, 1]]]}
+        doc["maps"]["res"]["source"] = "Z2"  # while the homspace's xg stays XT
+        p = tmp_path / "res.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code == 3
+        assert "restriction map does not connect the two modules" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "task",
         [
@@ -287,7 +299,7 @@ class TestCLI:
         doc["tasks"][0]["degree"] = 4
         p = tmp_path / "big.task"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = self.run_cli(capsys, "run", str(p), "--degree-bound", "4")
+        code, out, err = self.run_cli(capsys, "run", str(p))
         assert code == 4
         assert "over the limit" in err and out == ""
 
@@ -337,13 +349,17 @@ class TestCLI:
 
     def test_degree_bound_flag(self, capsys, tmp_path):
         doc = fixture_doc("norm_one_2")
-        doc["tasks"] = [{"op": "group_cohomology", "module": "XT", "degree": 4}]
+        doc["tasks"] = [{"op": "group_cohomology", "module": "XT", "degree": DEGREE_LIMIT}]
         p = tmp_path / "deep.task"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = self.run_cli(capsys, "run", str(p))
-        assert code == 4  # beyond the default bound
-        code, out, _ = self.run_cli(capsys, "run", str(p), "--degree-bound", "4")
+        code, out, _ = self.run_cli(capsys, "run", str(p), "--oracle", "on")
         assert code == 0
+        assert f"H^{DEGREE_LIMIT}(XT) = " in out and "cyclic oracle agreed" in out
+        doc["tasks"][0]["degree"] = DEGREE_LIMIT + 1
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code == 4
+        assert "over the limit" in err and out == ""
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = self.run_cli(capsys, "run", str(tmp_path / "ghost.task"))
@@ -440,7 +456,7 @@ def task_documents(draw):
     for op in draw(st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=2)):
         task = {"op": op, "data": "D", "module": draw(st.sampled_from(["A", "B"]))}
         if op in ("group_cohomology", "hypercohomology"):
-            task["degree"] = draw(st.integers(0, 3))
+            task["degree"] = draw(st.integers(0, DEGREE_LIMIT + 1))
         tasks.append(task)
     doc = {
         "format": "upic-task-v1",
