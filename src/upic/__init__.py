@@ -18,6 +18,7 @@ from .intmatrix import (
     Subquotient,
     cokernel_invariants,
     cycle_lattice,
+    in_column_span,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -97,6 +98,7 @@ __all__ = [
     "finite_coeff_bruteforce",
     "group_cohomology",
     "hypercohomology",
+    "in_column_span",
     "induced_module",
     "is_quasi_iso",
     "kernel_basis",

@@ -16,6 +16,8 @@ matrices of Python ints and never mutate their arguments.
 
 from __future__ import annotations
 
+from itertools import compress
+
 
 def _identity(n):
     rows = [[0] * n for _ in range(n)]
@@ -29,18 +31,21 @@ def matmul(a, b):
 
     Zeros are skipped on both sides: the nonzero (column, value) pairs of
     each row of `b` are listed once, and each nonzero a[i][t] adds only into
-    the columns of row t.  The operands here are mostly permutation actions
-    and block matrices, a few percent nonzero.
+    the columns of row t.  `compress` finds the nonzero positions of a row
+    at C speed.  The operands here are mostly permutation actions and block
+    matrices, a few percent nonzero.
     """
     n = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    cols = range(n)
+    b_rows = [[(j, row[j]) for j in compress(cols, row)] for row in b]
+    inner = range(len(b))
     out = []
     for row in a:
         acc = [0] * n
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+        for t in compress(inner, row):
+            x = row[t]
+            for j, y in b_rows[t]:
+                acc[j] += x * y
         out.append(acc)
     return out
 

@@ -43,8 +43,8 @@ from .intmatrix import (
     SparseCols,
     Subquotient,
     cycle_lattice,
+    in_column_span,
     smith_normal_form,
-    solve_integer,
     subquotient_invariants,
     unimodular_inverse,
 )
@@ -318,12 +318,8 @@ class HyperTotal:
 
     def _check_square_zero(self):
         square = self.d_at.compose(self.d_below)
-        rel = self.rel_above
-        for c in range(square.cols):
-            if not square.entries[c]:
-                continue
-            if solve_integer(rel, square.column(c)) is None:
-                raise ExactnessViolation("total differential does not square to zero")
+        if not in_column_span(self.rel_above, [square.column(c) for c, col in enumerate(square.entries) if col]):
+            raise ExactnessViolation("total differential does not square to zero")
 
     def cohomology(self):
         _, n_at = self._offsets(self.degree)

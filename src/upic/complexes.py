@@ -31,6 +31,7 @@ from .intmatrix import (
     IntMatrix,
     Subquotient,
     cycle_lattice,
+    in_column_span,
     smith_normal_form,
     solve_integer,
     subquotient_invariants,
@@ -89,9 +90,10 @@ class BoundedComplex:
     def validate(self) -> list:
         out = []
         for idx, d in enumerate(self.differentials):
-            if d.source is not self.terms[idx] or d.target is not self.terms[idx + 1]:
-                if d.source.gens != self.terms[idx].gens or d.target.gens != self.terms[idx + 1].gens:
-                    out.append(f"differential {idx} does not connect consecutive terms")
+            # equal, not only identical: callers build equal modules separately
+            src, tgt = self.terms[idx], self.terms[idx + 1]
+            if not (d.source is src or d.source == src) or not (d.target is tgt or d.target == tgt):
+                out.append(f"differential {idx} does not connect consecutive terms")
             out.extend(f"differential at degree {self.lowest_degree + idx}: {v}" for v in d.validate())
         for idx in range(len(self.differentials) - 1):
             comp = self.differentials[idx + 1].matrix.mul(self.differentials[idx].matrix)
@@ -295,10 +297,8 @@ class TwoTermSES:
             out.append("degree 1: quotient after inclusion is nonzero")
         ker = nu1.kernel_lattice()
         wide = mu1.matrix.hstack(b.term(1).relations)
-        for j in range(ker.cols):
-            if solve_integer(wide, ker.column(j)) is None:
-                out.append("degree 1: kernel of the quotient map exceeds the image of the inclusion")
-                break
+        if not in_column_span(wide, zip(*ker.data)):
+            out.append("degree 1: kernel of the quotient map exceeds the image of the inclusion")
         return out
 
 

@@ -9,23 +9,30 @@ subquotients.  `SparseCols` holds the large, sparse cochain differentials;
 `cycle_lattice` eliminates their +-1 pivots on the sparse columns and
 hands only the remainder to the dense Hermite form.  `LatticeSpan` is a
 sparse echelon basis that grows vector by vector, for repeated membership
-tests against a growing lattice.  `IntMatrix.mul` (the
-kernel's `matmul`) and the back-substitution in `solve_integer` skip zero
-entries: the permutation actions and block matrices they see are mostly
-zeros.
+tests against a growing lattice.
+
+Membership in a fixed column span has one routine, `in_column_span`.  It
+reduces each vector forward against `IntMatrix.hermite_view`: a sparse
+view of the cached Hermite form, built once per matrix, holding per pivot
+its row, its value, the pivot column's nonzeros below it and the sparse
+transform column.  `solve_integer` runs the same forward reduction and
+back-substitutes through the transform columns.  `IntMatrix.mul` (the
+kernel's `matmul`) skips zero entries: the permutation actions and block
+matrices it sees are mostly zeros.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import compress
 
 from ._backend import kernels
 from .errors import BoundaryNotInCycles
 
 
 class IntMatrix:
-    __slots__ = ("rows", "cols", "data", "_hnf_cache")
+    __slots__ = ("rows", "cols", "data", "_hnf_cache", "_hnf_view")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -37,6 +44,7 @@ class IntMatrix:
         self.cols = cols
         self.data = data
         self._hnf_cache = None
+        self._hnf_view = None
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -157,6 +165,26 @@ class IntMatrix:
                 tuple(piv),
             )
         return self._hnf_cache
+
+    def hermite_view(self) -> tuple:
+        """Sparse view of the cached Hermite form, one entry per pivot (r, c).
+
+        Each entry is (r, h[r][c], [(i, h[i][c]) for nonzeros below row r],
+        [(j, v[j][c]) for nonzeros]).  The pivot column is zero above row r,
+        so the entry holds all of it.
+        """
+        if self._hnf_view is None:
+            h, v, pivots = self.hermite()
+            h_cols = list(zip(*h.data))
+            v_cols = list(zip(*v.data))
+            rows, cols = range(self.rows), range(self.cols)
+            view = []
+            for r, c in pivots:
+                col, t_col = h_cols[c], v_cols[c]
+                below = [(i, col[i]) for i in compress(rows[r + 1 :], col[r + 1 :])]
+                view.append((r, col[r], below, [(j, t_col[j]) for j in compress(cols, t_col)]))
+            self._hnf_view = tuple(view)
+        return self._hnf_view
 
 
 class SparseCols:
@@ -489,27 +517,58 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     return IntMatrix.from_columns(n, [h.column(c) for _, c in pivots])
 
 
+def _reduce(view: tuple, vec: list, steps: list | None = None) -> bool:
+    """Forward-reduce `vec` (changed in place) against a Hermite view; True iff it ends at zero.
+
+    When `steps` is a list, each pivot's (quotient, transform column) is
+    appended to it, enough to back-substitute a solution.
+    """
+    for r, p, below, t_col in view:
+        val = vec[r]
+        if val:
+            if val % p:
+                return False
+            q = val // p
+            vec[r] = 0
+            for i, x in below:
+                vec[i] -= q * x
+            if steps is not None:
+                steps.append((q, t_col))
+    return not any(vec)
+
+
+def in_column_span(a: IntMatrix, vectors) -> bool:
+    """Whether every vector of `vectors` lies in the integer column span of `a`.
+
+    Forward reduction only, against `a.hermite_view()`; no solution is
+    formed.  Zero vectors are skipped.
+    """
+    view = None
+    for vec in vectors:
+        if len(vec) != a.rows:
+            raise ValueError("right-hand side length mismatch")
+        if not any(vec):
+            continue
+        if view is None:
+            view = a.hermite_view()
+        if not _reduce(view, list(vec)):
+            return False
+    return True
+
+
 def solve_integer(a: IntMatrix, b) -> list | None:
     """An integer solution x of a*x == b, or None if none exists."""
     b = list(b)
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    h, v, pivots = a.hermite()
-    residual = b
-    y = []  # the nonzero (column, coefficient) pairs of h*y == b
-    for r, c in pivots:
-        val = residual[r]
-        p = h.data[r][c]
-        if val % p:
-            return None
-        q = val // p
-        if q:
-            y.append((c, q))
-            col = h.column(c)
-            residual = [x - q * e for x, e in zip(residual, col)]
-    if any(residual):
+    steps = []
+    if not _reduce(a.hermite_view(), b, steps):
         return None
-    return [sum(row[c] * q for c, q in y) for row in v.data]
+    x = [0] * a.cols
+    for q, t_col in steps:
+        for j, t in t_col:
+            x[j] += q * t
+    return x
 
 
 def invariants_from_diagonal(diag, ambient: int) -> AbelianInvariants:

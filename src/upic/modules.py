@@ -15,8 +15,8 @@ from .intmatrix import (
     AbelianInvariants,
     cokernel_invariants,
     cycle_lattice,
+    in_column_span,
     smith_normal_form,
-    solve_integer,
     unimodular_inverse,
 )
 
@@ -43,17 +43,32 @@ class PresentedModule:
         return self.action[g]
 
     def in_relations(self, vec) -> bool:
-        return solve_integer(self.relations, vec) is not None
+        return in_column_span(self.relations, [vec])
 
     def congruent(self, x, y) -> bool:
         return self.in_relations([a - b for a, b in zip(x, y)])
 
     def contains_columns(self, a: IntMatrix) -> bool:
         """Every column of `a` is zero in the module (lies in the relation lattice)."""
-        return all(self.in_relations(a.column(j)) for j in range(a.cols))
+        if a.rows != self.gens:
+            raise ValueError(f"{a.rows}-row matrix against a module on {self.gens} generators")
+        if not self.relations.cols:
+            return a.is_zero()
+        return in_column_span(self.relations, zip(*a.data))
 
     def matrix_congruent(self, a: IntMatrix, b: IntMatrix) -> bool:
-        return self.contains_columns(a.sub(b))
+        if a.rows != b.rows or a.cols != b.cols:
+            raise ValueError("shape mismatch")
+        if a.rows != self.gens:
+            raise ValueError(f"{a.rows}-row matrices against a module on {self.gens} generators")
+        if a.data == b.data:
+            return True
+        if not self.relations.cols:
+            return False
+        return in_column_span(
+            self.relations,
+            ([x - y for x, y in zip(p, q)] for p, q in zip(zip(*a.data), zip(*b.data)) if p != q),
+        )
 
     def torsion_free(self) -> bool:
         from .intmatrix import smith_diagonal
@@ -244,7 +259,7 @@ def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:
 class ModuleMap:
     """Equivariant homomorphism between presented modules, as a matrix on generators."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_violations")
 
     def __init__(self, source: PresentedModule, target: PresentedModule, matrix: IntMatrix):
         if matrix.rows != target.gens or matrix.cols != source.gens:
@@ -256,6 +271,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._violations = None  # validate's result, kept: the map is immutable
 
     @classmethod
     def zero(cls, source: PresentedModule, target: PresentedModule) -> "ModuleMap":
@@ -266,6 +282,12 @@ class ModuleMap:
         return cls(m, m, IntMatrix.identity(m.gens))
 
     def validate(self) -> list:
+        """All violated map invariants, as strings (empty means valid).
+
+        Computed once per map object; later calls return the kept list.
+        """
+        if self._violations is not None:
+            return list(self._violations)
         out = []
         if not self.target.contains_columns(self.matrix.mul(self.source.relations)):
             out.append("map does not send source relations into target relations")
@@ -274,6 +296,7 @@ class ModuleMap:
             rhs = self.target.action_of(g).mul(self.matrix)
             if not self.target.matrix_congruent(lhs, rhs):
                 out.append(f"map does not commute with the action of element {g}")
+        self._violations = tuple(out)
         return out
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
@@ -296,10 +319,7 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         wide = self.matrix.hstack(self.target.relations)
-        return all(
-            solve_integer(wide, [1 if i == j else 0 for i in range(self.target.gens)]) is not None
-            for j in range(self.target.gens)
-        )
+        return in_column_span(wide, IntMatrix.identity(self.target.gens).data)
 
     def is_zero_map(self) -> bool:
         return self.target.contains_columns(self.matrix)

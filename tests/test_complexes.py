@@ -27,6 +27,7 @@ from upic.modules import (
     PresentedModule,
     add_relations,
     finite_cyclic_module,
+    free_module,
     regular_module,
     trivial_module,
     zero_module,
@@ -61,6 +62,16 @@ class TestTwoTerm:
     def test_base_degree(self):
         c = shift(two_term(times(2)), -5)
         assert cohomology_invariants(c, 6) == AbelianInvariants(0, [2])
+
+    def test_differential_must_connect_its_terms(self):
+        """A differential between equal-rank modules other than the terms is refused."""
+        c2 = FiniteGroup.cyclic(2)
+        sign = free_module(c2, [IntMatrix.identity(1), IntMatrix(1, 1, [[-1]])])
+        z = trivial_module(c2)
+        with pytest.raises(ValidationError):
+            BoundedComplex(c2, 0, [sign, z], [ModuleMap.identity(trivial_module(c2))])
+        equal = BoundedComplex(c2, 0, [z, trivial_module(c2)], [ModuleMap.identity(trivial_module(c2))])
+        assert cohomology_invariants(equal, 0).is_trivial
 
     def test_dd_zero_enforced(self):
         m = trivial_module(T)

@@ -217,6 +217,20 @@ class TestModuleMap:
         f = ModuleMap(trivial_module(c2), sign, IntMatrix(1, 1, [[1]]))
         assert any("commute" in v for v in f.validate())
 
+    def test_relation_free_congruence_checks_shapes(self):
+        """Over a lattice congruence is equality; a shape or row-count mismatch still raises."""
+        m = trivial_module(FiniteGroup.cyclic(2), 2)
+        a = IntMatrix(2, 1, [[1], [0]])
+        assert m.matrix_congruent(a, IntMatrix(2, 1, [[1], [0]]))
+        assert not m.matrix_congruent(a, IntMatrix(2, 1, [[1], [1]]))
+        assert m.contains_columns(IntMatrix.zeros(2, 3)) and not m.contains_columns(a)
+        with pytest.raises(ValueError):
+            m.matrix_congruent(a, IntMatrix.zeros(2, 2))
+        with pytest.raises(ValueError):
+            m.matrix_congruent(IntMatrix.zeros(3, 1), IntMatrix.zeros(3, 1))
+        with pytest.raises(ValueError):
+            m.contains_columns(IntMatrix.zeros(3, 1))
+
     def test_kernel_and_surjectivity(self):
         c2 = FiniteGroup.cyclic(2)
         z2 = finite_cyclic_module(c2, 2)

@@ -13,6 +13,7 @@ from upic.intmatrix import (
     cokernel_invariants,
     cycle_lattice,
     determinant,
+    in_column_span,
     is_unimodular,
     kernel_basis,
     smith_normal_form,
@@ -151,6 +152,82 @@ def test_solve_random_consistency():
             y = solve_integer(a, b)
             assert y is not None
             assert a.apply(y) == b
+
+
+def _dense_solve(a, b):
+    """Dense forward reduction and back-substitution against the full Hermite form."""
+    h, v, pivots = a.hermite()
+    residual = list(b)
+    y = []
+    for r, c in pivots:
+        val = residual[r]
+        p = h.data[r][c]
+        if val % p:
+            return None
+        q = val // p
+        if q:
+            y.append((c, q))
+            col = h.column(c)
+            residual = [x - q * e for x, e in zip(residual, col)]
+    if any(residual):
+        return None
+    return [sum(row[c] * q for c, q in y) for row in v.data]
+
+
+def test_membership_and_solve_match_dense_reference():
+    """in_column_span and solve_integer agree with the dense reduction on every family."""
+    rng = random.Random(8)
+    big = 1 << 70
+
+    def entry(scale):
+        return rng.randint(-scale, scale)
+
+    def relation_free():
+        m = rng.randint(0, 5)
+        return IntMatrix(m, 0, [[] for _ in range(m)])
+
+    def rank_deficient():  # a product through a narrower middle, with a zero column
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        k = rng.randint(1, min(m, n) - 1)
+        left = IntMatrix(m, k, [[entry(3) for _ in range(k)] for _ in range(m)])
+        right = IntMatrix(k, n, [[entry(3) for _ in range(n)] for _ in range(k)])
+        a = left.mul(right)
+        z = rng.randrange(n)
+        return IntMatrix(m, n, [row[:z] + [0] + row[z + 1 :] for row in a.data])
+
+    def torsion():  # every entry, so every pivot, a multiple of d > 1
+        m, n, d = rng.randint(1, 6), rng.randint(1, 6), rng.choice((2, 3, 6))
+        return IntMatrix(m, n, [[d * entry(3) for _ in range(n)] for _ in range(m)])
+
+    def wide_entries():
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        return IntMatrix(m, n, [[rng.choice((0, 0, 1, entry(big))) for _ in range(n)] for _ in range(m)])
+
+    def targets(a):
+        x = [rng.choice((0, 1, -2, entry(big))) for _ in range(a.cols)]
+        inside = a.apply(x)
+        near = list(inside)
+        if near:
+            near[rng.randrange(a.rows)] += rng.choice((1, -1, big))
+        return [inside, near, [entry(5) for _ in range(a.rows)], [0] * a.rows]
+
+    verdicts = []
+    for family in (relation_free, rank_deficient, torsion, wide_entries):
+        for _ in range(60):
+            a = family()
+            bs = targets(a)
+            refs = [_dense_solve(a, b) for b in bs]
+            for b, ref in zip(bs, refs):
+                assert in_column_span(a, [b]) == (ref is not None)
+                x = solve_integer(a, b)
+                assert (x is None) == (ref is None)
+                if x is not None:
+                    assert a.apply(x) == b
+                verdicts.append(ref is not None)
+            assert in_column_span(a, bs) == all(ref is not None for ref in refs)
+    assert any(verdicts) and not all(verdicts)
+    with pytest.raises(ValueError):
+        in_column_span(IntMatrix(2, 1, [[1], [0]]), [[1]])
 
 
 def _reference_product(a, b, n):

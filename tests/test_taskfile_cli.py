@@ -7,9 +7,10 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main
+from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main, run_tasks
 from upic.cohomology import DEGREE_LIMIT
 from upic.errors import TaskFileError, ValidationError
+from upic.modules import PresentedModule
 from upic.taskfile import OPS, parse_task_text
 
 
@@ -112,6 +113,25 @@ class TestBuilding:
         with pytest.raises(ValidationError, match=f"rank {gens} exceeds the module rank cap 96"):
             parse_task_text(json.dumps(doc)).build()
 
+
+    def test_each_check_runs_once(self, monkeypatch):
+        """Module and map checks run once across BuiltTasks, HomSpaceData and the pic and brauer_a ops."""
+        doc = fixture_doc("quadratic_sign_stabilizer")
+        doc["tasks"] = [t for t in doc["tasks"] if t["op"] in ("pic", "brauer_a")]
+        calls = []
+        original = PresentedModule.matrix_congruent
+
+        def counted(self, a, b):
+            calls.append(self)
+            return original(self, a, b)
+
+        monkeypatch.setattr(PresentedModule, "matrix_congruent", counted)
+        built = parse_task_text(json.dumps(doc)).build()
+        records = run_tasks(built, oracle=False)
+        assert [r["result"] for r in records] == ["Z/2", "Z/2"]
+        n = built.group.order
+        # validate_module(target): the identity and the n*n products; ModuleMap.validate: one per element
+        assert sum(1 for m in calls if m is built.maps["res"].target) == 1 + n * n + n
 
 class TestCLI:
     def run_cli(self, capsys, *argv):
