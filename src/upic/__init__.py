@@ -15,7 +15,6 @@ from .intmatrix import (
     AbelianInvariants,
     IntMatrix,
     SmithDecomposition,
-    Subquotient,
     cokernel_invariants,
     cycle_lattice,
     in_column_span,
@@ -80,7 +79,6 @@ __all__ = [
     "ModuleMap",
     "PresentedModule",
     "SmithDecomposition",
-    "Subquotient",
     "TorusComparisonData",
     "TwoTermSES",
     "backend_name",

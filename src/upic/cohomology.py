@@ -31,6 +31,7 @@ differentials are sparse columns and reach `cycle_lattice` in that form.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 from .complexes import BoundedComplex, one_term
@@ -41,7 +42,6 @@ from .intmatrix import (
     IntMatrix,
     LatticeSpan,
     SparseCols,
-    Subquotient,
     cycle_lattice,
     in_column_span,
     smith_normal_form,
@@ -321,22 +321,19 @@ class HyperTotal:
         if not in_column_span(self.rel_above, [square.column(c) for c, col in enumerate(square.entries) if col]):
             raise ExactnessViolation("total differential does not square to zero")
 
-    def cohomology(self):
+    def cohomology(self) -> AbelianInvariants:
         _, n_at = self._offsets(self.degree)
         if n_at == 0:
-            empty = Subquotient(0, IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
-            return empty, AbelianInvariants(0)
+            return AbelianInvariants(0)
         cycles = cycle_lattice(self.d_at, self.rel_above)
-        boundaries = self.d_below.to_dense().hstack(self.rel_at)
-        sq = Subquotient(n_at, cycles, boundaries)
-        return sq, subquotient_invariants(sq)
+        return subquotient_invariants(cycles, self.d_below.to_dense().hstack(self.rel_at))
 
 
 def hypercohomology(group: FiniteGroup, coeffs: BoundedComplex, degree: int) -> AbelianInvariants:
     """H^degree of the group valued in a bounded complex of modules."""
     if degree < min(coeffs.degrees(), default=0):
         return AbelianInvariants(0)
-    return HyperTotal(group, coeffs, degree).cohomology()[1]
+    return HyperTotal(group, coeffs, degree).cohomology()
 
 
 def group_cohomology(group: FiniteGroup, m: PresentedModule, degree: int) -> AbelianInvariants:
@@ -369,19 +366,18 @@ def cyclic_oracle(group: FiniteGroup, m: PresentedModule, degree: int) -> Abelia
         raise NotCyclic("group has no generator of full order")
     if degree < 0:
         raise ValueError("negative degree")
-    n = m.gens
-    if n == 0:
+    if m.gens == 0:
         return AbelianInvariants(0)
     norm, shift = _norm_and_shift(group, m, generator)
     if degree == 0:
-        return subquotient_invariants(Subquotient(n, cycle_lattice(shift, m.relations), m.relations))
+        return subquotient_invariants(cycle_lattice(shift, m.relations), m.relations)
     if degree % 2:
         cycles = cycle_lattice(norm, m.relations)
         boundaries = shift.hstack(m.relations)
     else:
         cycles = cycle_lattice(shift, m.relations)
         boundaries = norm.hstack(m.relations)
-    return subquotient_invariants(Subquotient(n, cycles, boundaries))
+    return subquotient_invariants(cycles, boundaries)
 
 
 class _FiniteModule:
@@ -390,22 +386,17 @@ class _FiniteModule:
     __slots__ = ("m", "diag", "u", "u_inv", "elements", "index", "action_tables", "size")
 
     def __init__(self, m: PresentedModule):
-        inv = m.underlying_invariants()
-        if inv.free_rank:
-            raise ValidationError(["module is infinite; the enumeration oracle needs finite coefficients"])
         s = smith_normal_form(m.relations)
-        diag = s.diagonal()
         self.m = m
-        self.diag = [diag[i] if i < len(diag) else 1 for i in range(m.gens)]
+        self.diag = s.diagonal()
+        if 0 in self.diag:
+            raise ValidationError(["module is infinite; the enumeration oracle needs finite coefficients"])
         self.u = s.u
         self.u_inv = unimodular_inverse(s.u)
-        self.size = 1
-        for d in self.diag:
-            self.size *= max(d, 1)
+        self.size = math.prod(self.diag)
         if self.size > ENUMERATION_LIMIT:
             raise BudgetExceeded(f"module has more than {ENUMERATION_LIMIT} elements")
-        ranges = [range(d) if d > 1 else range(1) for d in self.diag]
-        self.elements = [tuple(t) for t in itertools.product(*ranges)]
+        self.elements = list(itertools.product(*map(range, self.diag)))
         self.index = {t: i for i, t in enumerate(self.elements)}
         self.action_tables = []
         for g in range(m.group.order):
@@ -417,7 +408,7 @@ class _FiniteModule:
             self.action_tables.append(table)
 
     def _reduce(self, coords):
-        return tuple(c % d if d > 1 else 0 for c, d in zip(coords, self.diag))
+        return tuple(c % d for c, d in zip(coords, self.diag))
 
     def zero(self) -> int:
         return self.index[tuple(0 for _ in self.diag)]

@@ -29,12 +29,11 @@ from .groups import FiniteGroup
 from .intmatrix import (
     AbelianInvariants,
     IntMatrix,
-    Subquotient,
+    cokernel_invariants,
     cycle_lattice,
     in_column_span,
     smith_normal_form,
     solve_integer,
-    subquotient_invariants,
     subquotient_relations,
     unimodular_inverse,
 )
@@ -44,6 +43,7 @@ from .modules import (
     add_relations,
     direct_sum,
     direct_sum_many,
+    dual_lattice,
     free_module,
     induced_module,
     lattice_form,
@@ -226,23 +226,22 @@ def fibre(phi: ComplexMap) -> BoundedComplex:
 def cohomology(c: BoundedComplex, i: int):
     """ker(d_i)/im(d_{i-1}) inside the degree-i presentation.
 
-    Returns (Subquotient, AbelianInvariants).  Relations of the degree-i
-    term are folded into the boundaries; the cycle lattice accounts for the
-    relations of the degree-(i+1) term.
+    Returns (cycles, relations) with H^i = Z^cycles.cols / span(relations):
+    the cycle columns are ambient vectors, the relations are in cycle
+    coordinates.  Relations of the degree-i term are folded into the
+    boundaries; the cycle lattice accounts for the relations of the
+    degree-(i+1) term.
     """
     m = c.term(i)
-    n = m.gens
-    if n == 0:
-        empty = Subquotient(0, IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
-        return empty, AbelianInvariants(0)
+    if m.gens == 0:
+        return IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)
     cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
     boundaries = c.differential(i - 1).matrix.hstack(m.relations)
-    sq = Subquotient(n, cycles, boundaries)
-    return sq, subquotient_invariants(sq)
+    return cycles, subquotient_relations(cycles, boundaries)
 
 
 def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
-    return cohomology(c, i)[1]
+    return cokernel_invariants(cohomology(c, i)[1])
 
 
 def all_cohomology(c: BoundedComplex) -> dict:
@@ -355,20 +354,13 @@ def collapse(ses: TwoTermSES) -> CollapseResult:
 
 
 def _canonical_class_generators(c: BoundedComplex, i: int) -> list:
-    """Ambient vectors generating H^i(c), from the Smith form of the subquotient."""
-    sq, _ = cohomology(c, i)
-    cyc = sq.cycles
-    if cyc.cols == 0:
+    """Ambient vectors generating H^i(c), from the Smith form of its relations."""
+    cycles, relations = cohomology(c, i)
+    if cycles.cols == 0:
         return []
-    s = smith_normal_form(subquotient_relations(sq))
-    diag = s.diagonal()
+    s = smith_normal_form(relations)
     u_inv = unimodular_inverse(s.u)
-    gens = []
-    for idx in range(cyc.cols):
-        d = diag[idx] if idx < len(diag) else 0
-        if d != 1:
-            gens.append(cyc.apply(u_inv.column(idx)))
-    return gens
+    return [cycles.apply(u_inv.column(idx)) for idx, d in enumerate(s.diagonal()) if d != 1]
 
 
 def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
@@ -481,10 +473,7 @@ def dual_complex(m: BoundedComplex) -> BoundedComplex:
     froms = {}
     for i in mt.degrees():
         frees[i], tos[i], froms[i] = lattice_form(mt.term(i))
-    duals = {
-        i: free_module(group, [frees[i].action_of(group.inv(g)).transpose() for g in range(group.order)])
-        for i in mt.degrees()
-    }
+    duals = {i: dual_lattice(frees[i]) for i in mt.degrees()}
     lo, hi = mt.lowest_degree, mt.highest_degree
     terms = [duals[hi - j] for j in range(hi - lo + 1)]
     diffs = []

@@ -105,19 +105,6 @@ def brauer_a(data: HomSpaceData) -> InvariantReport:
     return InvariantReport(value, BRAUER_CAVEAT, data.assume_pic_trivial)
 
 
-def _functional_basis(m: PresentedModule):
-    """Rows spanning Hom(m, Z) in generator coordinates, plus torsion invariants."""
-    s = smith_normal_form(m.relations)
-    diag = s.diagonal()
-    free_rows = []
-    for i in range(m.gens):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            free_rows.append(s.u.data[i])
-    torsion = AbelianInvariants(0, [d for d in diag if d > 1])
-    return free_rows, torsion
-
-
 class DualReport:
     """H^0 and H^-1 of the derived dual, with the five-term bookkeeping."""
 
@@ -143,15 +130,16 @@ class DualReport:
 
 
 def dual_hom_map(data: HomSpaceData) -> IntMatrix:
-    """Matrix of Hom(stabilizer characters, Z) -> Hom(acting lattice, Z)."""
-    rows_h, _ = _functional_basis(data.xh)
+    """Matrix of Hom(stabilizer characters, Z) -> Hom(acting lattice, Z).
+
+    Hom(xh, Z) is spanned by the rows of u at the zero entries of the Smith
+    form u * relations * v == d of the stabilizer characters.
+    """
+    s = smith_normal_form(data.xh.relations)
+    rows = [row for row, d in zip(s.u.data, s.diagonal()) if d == 0]
+    functionals = IntMatrix(len(rows), data.xh.gens, rows)
     _, _, from_g = lattice_form(data.xg)
-    res_free = data.res.matrix.mul(from_g.matrix)
-    fg = res_free.cols
-    cols = []
-    for row in rows_h:
-        cols.append([sum(r * f for r, f in zip(row, res_free.column(j))) for j in range(fg)])
-    return IntMatrix.from_columns(fg, cols)
+    return functionals.mul(data.res.matrix).mul(from_g.matrix).transpose()
 
 
 def upic_dual(data: HomSpaceData) -> DualReport:
@@ -172,7 +160,7 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     kernel = kernel_basis(dmap)
     kernel_inv = AbelianInvariants(kernel.cols)
     coker_inv = cokernel_invariants(dmap)
-    _, xh_tors = _functional_basis(data.xh)
+    xh_tors = AbelianInvariants(0, data.xh.underlying_invariants().torsion)
 
     problems = []
     if hminus1.torsion:

@@ -11,6 +11,13 @@ hands only the remainder to the dense Hermite form.  `LatticeSpan` is a
 sparse echelon basis that grows vector by vector, for repeated membership
 tests against a growing lattice.
 
+A Smith diagonal (`smith_diagonal`, `SmithDecomposition.diagonal`) has
+one entry per row of its matrix: the order of that Smith coordinate of
+the cokernel, 0 for a free Z.  A subquotient Z/B is given by two matrices
+in the same ambient coordinates, the columns of `cycles` spanning Z and
+those of `boundaries` spanning B; `subquotient_relations` presents it on
+the cycle columns and `subquotient_invariants` reads its invariants.
+
 Membership in a fixed column span has one routine, `in_column_span`.  It
 reduces each vector forward against `IntMatrix.hermite_view`: a sparse
 view of the cached Hermite form, built once per matrix, holding per pivot
@@ -312,7 +319,8 @@ class SmithDecomposition:
         self.v = v
 
     def diagonal(self) -> list:
-        return [self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols))]
+        """One entry per row: the order of that Smith coordinate of the cokernel, 0 for Z."""
+        return _diagonal(self.d.data, self.d.rows, self.d.cols)
 
 
 _CHUNK_DIGITS = 4000  # under the interpreter's default int-to-str limit of 4300 digits
@@ -387,23 +395,6 @@ class AbelianInvariants:
         return f"AbelianInvariants({self.render()})"
 
 
-class Subquotient:
-    """A subquotient Z/B of some Z^ambient.
-
-    `cycles` columns span the subgroup Z, `boundaries` columns span B; every
-    boundary must lie in the cycle lattice.  Invariants are basis-free.
-    """
-
-    __slots__ = ("ambient_rank", "cycles", "boundaries")
-
-    def __init__(self, ambient_rank: int, cycles: IntMatrix, boundaries: IntMatrix):
-        if cycles.rows != ambient_rank or boundaries.rows != ambient_rank:
-            raise ValueError("cycles/boundaries must live in the ambient space")
-        self.ambient_rank = ambient_rank
-        self.cycles = cycles
-        self.boundaries = boundaries
-
-
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     d, u, v = kernels.snf(a.data, a.rows, a.cols, True)
     return SmithDecomposition(
@@ -413,10 +404,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _diagonal(d, rows: int, cols: int) -> list:
+    return [d[i][i] if i < cols else 0 for i in range(rows)]
+
+
 def smith_diagonal(a: IntMatrix) -> list:
-    """Just the diagonal of the Smith form (no transform bookkeeping)."""
+    """`SmithDecomposition.diagonal` without the transform bookkeeping."""
     d, _, _ = kernels.snf(a.data, a.rows, a.cols, False)
-    return [d[i][i] for i in range(min(a.rows, a.cols))]
+    return _diagonal(d, a.rows, a.cols)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -571,36 +566,33 @@ def solve_integer(a: IntMatrix, b) -> list | None:
     return x
 
 
-def invariants_from_diagonal(diag, ambient: int) -> AbelianInvariants:
-    nonzero = [d for d in diag if d]
-    return AbelianInvariants(ambient - len(nonzero), [d for d in nonzero if d > 1])
-
-
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of a)."""
-    return invariants_from_diagonal(smith_diagonal(a), a.rows)
+    diag = smith_diagonal(a)
+    return AbelianInvariants(diag.count(0), [d for d in diag if d > 1])
 
 
-def subquotient_relations(s: Subquotient) -> IntMatrix:
-    """Relations presenting the subquotient on the cycle columns.
+def subquotient_relations(cycles: IntMatrix, boundaries: IntMatrix) -> IntMatrix:
+    """Relations R presenting Z/B on the cycle columns: Z/B = Z^cycles.cols / span(R).
 
     Boundary columns are rewritten in cycle coordinates (raising
     BoundaryNotInCycles when impossible); redundancy among the cycle
     columns is absorbed through the kernel of the cycle matrix.
     """
-    k = s.cycles.cols
+    if boundaries.rows != cycles.rows:
+        raise ValueError("cycles and boundaries must live in the same ambient space")
     coord_cols = []
-    for j in range(s.boundaries.cols):
-        x = solve_integer(s.cycles, s.boundaries.column(j))
+    for j in range(boundaries.cols):
+        x = solve_integer(cycles, boundaries.column(j))
         if x is None:
             raise BoundaryNotInCycles(f"boundary column {j} is outside the cycle lattice")
         coord_cols.append(x)
-    return kernel_basis(s.cycles).hstack(IntMatrix.from_columns(k, coord_cols))
+    return kernel_basis(cycles).hstack(IntMatrix.from_columns(cycles.cols, coord_cols))
 
 
-def subquotient_invariants(s: Subquotient) -> AbelianInvariants:
+def subquotient_invariants(cycles: IntMatrix, boundaries: IntMatrix) -> AbelianInvariants:
     """Invariants of the quotient of the cycle lattice by the boundaries."""
-    return cokernel_invariants(subquotient_relations(s))
+    return cokernel_invariants(subquotient_relations(cycles, boundaries))
 
 
 def determinant(a: IntMatrix) -> int:

@@ -16,6 +16,7 @@ from .intmatrix import (
     cokernel_invariants,
     cycle_lattice,
     in_column_span,
+    smith_diagonal,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -71,8 +72,6 @@ class PresentedModule:
         )
 
     def torsion_free(self) -> bool:
-        from .intmatrix import smith_diagonal
-
         return all(d <= 1 for d in smith_diagonal(self.relations))
 
     def underlying_invariants(self) -> AbelianInvariants:
@@ -172,21 +171,20 @@ def lattice_form(m: PresentedModule):
 
     Returns (free, to_free, from_free) where the two maps are mutually
     inverse identifications; to_free kills the relation lattice exactly.
+    From the Smith form u * relations * v == d, to_free is the rows of u
+    and from_free the columns of u^-1 at the zero entries of the diagonal.
     """
-    if not m.torsion_free():
-        raise HasTorsion("module has torsion; resolve it first")
     if m.relations.cols == 0:
         ident = ModuleMap(m, m, IntMatrix.identity(m.gens))
         return m, ident, ident
     s = smith_normal_form(m.relations)
     diag = s.diagonal()
-    free_idx = [i for i in range(m.gens) if i >= len(diag) or diag[i] == 0]
-    u = s.u
-    u_inv = unimodular_inverse(u)
-    proj = IntMatrix.from_columns(len(free_idx), [[1 if i == r else 0 for i in free_idx] for r in range(m.gens)])
-    embed = proj.transpose()
-    to_mat = proj.mul(u)
-    from_mat = u_inv.mul(embed)
+    if any(d > 1 for d in diag):
+        raise HasTorsion("module has torsion; resolve it first")
+    free_idx = [i for i, d in enumerate(diag) if d == 0]
+    u_inv = unimodular_inverse(s.u)
+    to_mat = IntMatrix(len(free_idx), m.gens, [s.u.data[i] for i in free_idx])
+    from_mat = IntMatrix.from_columns(m.gens, [u_inv.column(i) for i in free_idx])
     action = [to_mat.mul(m.action_of(g)).mul(from_mat) for g in range(m.group.order)]
     free = free_module(m.group, action)
     return free, ModuleMap(m, free, to_mat), ModuleMap(free, m, from_mat)

@@ -167,6 +167,30 @@ def random_module(group: FiniteGroup, rng: random.Random, max_rank: int = 3, all
     return PresentedModule(group, m.gens, q.mul(m.relations), action)
 
 
+def random_lattice_with_relations(group: FiniteGroup, rng: random.Random, max_extra: int = 2) -> PresentedModule:
+    """A torsion-free module whose presentation has relations.
+
+    The regular or norm-one lattice L of the group, plus generators e_k
+    each killed by a unit relation e_k - v_k for a random v_k in L; each
+    element acts on e_k as on v_k.  The whole presentation is put in a
+    random basis.
+    """
+    base = rng.choice([regular_module, norm_one_lattice_of])(group)
+    n, extra = base.gens, rng.randint(1, max_extra)
+    vs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(extra)]
+    gens = n + extra
+    relations = IntMatrix.from_columns(
+        gens, [[-x for x in v] + [1 if j == k else 0 for j in range(extra)] for k, v in enumerate(vs)]
+    )
+    action = []
+    for g in range(group.order):
+        a = base.action_of(g)
+        cols = [c + [0] * extra for c in a.columns()] + [a.apply(v) + [0] * extra for v in vs]
+        action.append(IntMatrix.from_columns(gens, cols))
+    q, qinv = random_unimodular_pair(gens, rng)
+    return PresentedModule(group, gens, q.mul(relations), [q.mul(x).mul(qinv) for x in action])
+
+
 def random_equivariant_map(source: PresentedModule, target: PresentedModule, rng: random.Random) -> ModuleMap:
     """A valid random map; falls back to zero when no nonzero one shows up.
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from upic.errors import HasTorsion, NotASubgroup, ValidationError
@@ -166,6 +168,23 @@ class TestDual:
         assert free.gens == 1
         assert to_free.matrix.mul(from_free.matrix) == IntMatrix.identity(1)
         assert dual_lattice(m).gens == 1
+
+    def test_lattice_form_on_presentations_with_relations(self):
+        from conftest import random_lattice_with_relations
+
+        rng = random.Random(909)
+        groups = [FiniteGroup.cyclic(n) for n in (2, 3, 4, 5, 6)] + [FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+        for trial in range(28):
+            group = groups[trial % len(groups)]
+            m = random_lattice_with_relations(group, rng)
+            assert m.relations.cols and validate_module(m) == []
+            free, to_free, from_free = lattice_form(m)
+            rank = m.gens - m.relations.cols
+            assert free.gens == rank and free.relations.cols == 0
+            assert to_free.matrix.mul(from_free.matrix) == IntMatrix.identity(rank)
+            assert m.contains_columns(from_free.matrix.mul(to_free.matrix).sub(IntMatrix.identity(m.gens)))
+            assert to_free.validate() == [] and from_free.validate() == []
+            assert validate_module(free) == []
 
 
 class TestNormOne:

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -11,13 +12,14 @@ from upic.homspace import (
     HomSpaceData,
     TorusComparisonData,
     brauer_a,
+    dual_hom_map,
     pic,
     topological_report,
     upic_complex,
     upic_dual,
     verify_torus_comparison,
 )
-from upic.intmatrix import AbelianInvariants, IntMatrix
+from upic.intmatrix import AbelianInvariants, IntMatrix, smith_normal_form, unimodular_inverse
 from upic.modules import (
     ModuleMap,
     PresentedModule,
@@ -206,7 +208,50 @@ class TestPicBrauer:
             assert brauer_a(d2).value == expected_br
 
 
+def _free_smith_coordinates(m):
+    """The Smith form of m's relations and the indices i < m.gens of its zero entries.
+
+    Reads the min(rows, cols) diagonal of d and pads it with zeros, on its
+    own and not through SmithDecomposition.diagonal.
+    """
+    s = smith_normal_form(m.relations)
+    diag = [s.d.data[i][i] for i in range(min(s.d.rows, s.d.cols))]
+    return s, [i for i in range(m.gens) if i >= len(diag) or diag[i] == 0]
+
+
+def _dual_hom_map_reference(data):
+    """dual_hom_map entry by entry: each Hom(xh, Z) row applied to each column of res * from_g."""
+    s_h, free_h = _free_smith_coordinates(data.xh)
+    s_g, free_g = _free_smith_coordinates(data.xg)
+    u_inv = unimodular_inverse(s_g.u)
+    from_g = IntMatrix.from_columns(data.xg.gens, [u_inv.column(i) for i in free_g])
+    res_free = data.res.matrix.mul(from_g)
+    cols = [[sum(r * f for r, f in zip(s_h.u.data[i], res_free.column(j))) for j in range(res_free.cols)] for i in free_h]
+    return IntMatrix.from_columns(res_free.cols, cols)
+
+
 class TestDualPipeline:
+    def test_dual_hom_map_matches_entrywise_formula(self):
+        from conftest import random_equivariant_map, random_lattice_with_relations, random_module
+
+        from upic.cli import FIXTURES, fixture_text
+        from upic.taskfile import parse_task_text
+
+        cases = []
+        for name in FIXTURES:
+            cases.extend(parse_task_text(fixture_text(name)).build().homspace.values())
+        fixture_cases = len(cases)
+        rng = random.Random(4242)
+        groups = [FiniteGroup.cyclic(n) for n in (2, 3, 4, 6)] + [FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+        for trial in range(18):
+            group = groups[trial % len(groups)]
+            xg = random_lattice_with_relations(group, rng) if trial % 2 else random_module(group, rng, allow_torsion=False)
+            xh = random_module(group, rng, max_rank=3)
+            cases.append(HomSpaceData(group, xg, xh, random_equivariant_map(xg, xh, rng)))
+        assert fixture_cases >= 9
+        for data in cases:
+            assert dual_hom_map(data) == _dual_hom_map_reference(data)
+
     def test_sln_normalizer(self):
         rep = upic_dual(sln_normalizer_data())
         assert rep.h0 == AbelianInvariants(0, [2])

@@ -9,13 +9,13 @@ from upic.intmatrix import (
     AbelianInvariants,
     IntMatrix,
     SparseCols,
-    Subquotient,
     cokernel_invariants,
     cycle_lattice,
     determinant,
     in_column_span,
     is_unimodular,
     kernel_basis,
+    smith_diagonal,
     smith_normal_form,
     solve_integer,
     subquotient_invariants,
@@ -28,6 +28,7 @@ def check_smith_laws(a):
     assert s.u.mul(a).mul(s.v) == s.d
     assert is_unimodular(s.u) and is_unimodular(s.v)
     diag = s.diagonal()
+    assert len(diag) == a.rows
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d]
     assert all(b % x == 0 for x, b in zip(nz, nz[1:]))
@@ -51,6 +52,16 @@ def test_smith_identity():
 
 def test_smith_zero_1x1():
     assert smith_normal_form(IntMatrix(1, 1, [[0]])).diagonal() == [0]
+
+
+def test_smith_diagonal_has_one_entry_per_row():
+    # rows past the columns are free coordinates of the cokernel: entry 0
+    tall = IntMatrix(3, 1, [[2], [4], [6]])
+    check_smith_laws(tall)
+    assert smith_normal_form(tall).diagonal() == smith_diagonal(tall) == [2, 0, 0]
+    assert cokernel_invariants(tall) == AbelianInvariants(2, [2])
+    assert smith_diagonal(IntMatrix.zeros(3, 0)) == [0, 0, 0]
+    assert smith_diagonal(IntMatrix(1, 3, [[2, 4, 6]])) == [2]
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
@@ -100,12 +111,11 @@ def test_cokernel_unimodular_invariance():
 
 
 def test_subquotient_examples():
-    s = Subquotient(2, IntMatrix.identity(2), IntMatrix(2, 2, [[2, 0], [0, 3]]))
-    assert subquotient_invariants(s) == AbelianInvariants(0, [6])
-    t = Subquotient(2, IntMatrix.identity(2), IntMatrix.identity(2))
-    assert subquotient_invariants(t).is_trivial
-    u = Subquotient(1, IntMatrix.identity(1), IntMatrix.zeros(1, 0))
-    assert subquotient_invariants(u) == AbelianInvariants(1)
+    assert subquotient_invariants(IntMatrix.identity(2), IntMatrix(2, 2, [[2, 0], [0, 3]])) == AbelianInvariants(0, [6])
+    assert subquotient_invariants(IntMatrix.identity(2), IntMatrix.identity(2)).is_trivial
+    assert subquotient_invariants(IntMatrix.identity(1), IntMatrix.zeros(1, 0)) == AbelianInvariants(1)
+    with pytest.raises(ValueError):
+        subquotient_invariants(IntMatrix.identity(2), IntMatrix.zeros(1, 0))
 
 
 def test_subquotient_matches_cokernel_for_identity_cycles():
@@ -113,14 +123,12 @@ def test_subquotient_matches_cokernel_for_identity_cycles():
     for _ in range(15):
         m, n = rng.randint(1, 5), rng.randint(0, 5)
         a = IntMatrix(m, n, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-        s = Subquotient(m, IntMatrix.identity(m), a)
-        assert subquotient_invariants(s) == cokernel_invariants(a)
+        assert subquotient_invariants(IntMatrix.identity(m), a) == cokernel_invariants(a)
 
 
 def test_subquotient_boundary_outside_cycles():
-    s = Subquotient(2, IntMatrix(2, 1, [[2], [0]]), IntMatrix(2, 1, [[1], [0]]))
     with pytest.raises(BoundaryNotInCycles):
-        subquotient_invariants(s)
+        subquotient_invariants(IntMatrix(2, 1, [[2], [0]]), IntMatrix(2, 1, [[1], [0]]))
 
 
 def test_solve_examples():
