@@ -10,8 +10,11 @@ entry as pivot (deterministic low-index tie-break) and reduce everything
 else by floor division, re-picking the pivot until the remainders vanish.
 Quotients stay small that way, which is what keeps arbitrary-precision
 entries from exploding on the sparse structured matrices this library
-produces.  All routines take and return plain list-of-list row-major
-matrices of Python ints and never mutate their arguments.
+produces.  The Hermite form applies each column operation only to the
+live rows, those with a nonzero entry in the pivot column; rows of h above
+the pivot row are zero there already, so they are never visited.  All
+routines take and return plain list-of-list row-major matrices of Python
+ints and never mutate their arguments; every returned row is a new list.
 """
 
 from __future__ import annotations
@@ -164,6 +167,13 @@ def hnf_cols(a, m: int, n: int):
     positive leading entry in a strictly increasing pivot row; entries to
     the left of a pivot in its row are reduced into [0, pivot).  pivots is
     the list of (row, col) leading positions.  v is unimodular.
+
+    While row r is being reduced, every row of h above r is already zero
+    from the pivot column on, so the operations for row r touch only the
+    live rows: rows of h at or below r, and rows of v, whose entry in the
+    pivot column is nonzero (for a swap, in either swapped column).  A row
+    that is zero there is left alone, which is the same result as
+    subtracting a multiple of zero from it.
     """
     h = [list(row) for row in a]
     v = _identity(n)
@@ -173,7 +183,8 @@ def hnf_cols(a, m: int, n: int):
         if c >= n:
             break
         hr = h[r]
-        placed = False
+        below = h[r:]  # rows above r are zero from column c on
+        live_h = None
         while True:
             best = None
             bj = -1
@@ -187,16 +198,19 @@ def hnf_cols(a, m: int, n: int):
                             break
             if best is None:
                 break
-            placed = True
             if bj != c:
-                for row in h:
-                    row[c], row[bj] = row[bj], row[c]
+                for row in below:
+                    if row[c] or row[bj]:
+                        row[c], row[bj] = row[bj], row[c]
                 for row in v:
-                    row[c], row[bj] = row[bj], row[c]
+                    if row[c] or row[bj]:
+                        row[c], row[bj] = row[bj], row[c]
+            live_h = [row for row in below if row[c]]
+            live_v = [row for row in v if row[c]]
             if hr[c] < 0:
-                for row in h:
+                for row in live_h:
                     row[c] = -row[c]
-                for row in v:
+                for row in live_v:
                     row[c] = -row[c]
             p = hr[c]
             clean = True
@@ -205,23 +219,23 @@ def hnf_cols(a, m: int, n: int):
                 if b:
                     q = b // p
                     if q:
-                        for row in h:
+                        for row in live_h:
                             row[j] -= q * row[c]
-                        for row in v:
+                        for row in live_v:
                             row[j] -= q * row[c]
                     if hr[j]:
                         clean = False
             if clean:
                 break
-        if not placed:
+        if live_h is None:  # row r is zero from column c on: no pivot
             continue
         p = hr[c]
         for j in range(c):
             q = hr[j] // p  # floor keeps residues in [0, p)
             if q:
-                for row in h:
+                for row in live_h:
                     row[j] -= q * row[c]
-                for row in v:
+                for row in live_v:
                     row[j] -= q * row[c]
         pivots.append((r, c))
         c += 1

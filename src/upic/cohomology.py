@@ -202,9 +202,18 @@ class SmallResolution:
 
 
 def small_resolution(group: FiniteGroup) -> SmallResolution:
-    """The group's small resolution, kept on the group and extended as degrees are asked."""
+    """The group's small resolution, kept on the group and extended as degrees are asked.
+
+    The resolution is built on a twin of the group that holds no resolution,
+    so the two form no reference cycle and are freed together, by reference
+    counting, as soon as the group is dropped.
+    """
     if group._resolution is None:
-        group._resolution = SmallResolution(group)
+        twin = object.__new__(FiniteGroup)
+        for slot in FiniteGroup.__slots__:
+            setattr(twin, slot, getattr(group, slot))
+        twin._resolution = None
+        group._resolution = SmallResolution(twin)
     return group._resolution
 
 

@@ -423,8 +423,8 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     for g in range(group.order):
         moved = bottom.action_of(g).mul(basis)
         sol_cols = []
-        for j in range(rank):
-            x = solve_integer(basis, moved.column(j))
+        for col in moved.columns():
+            x = solve_integer(basis, col)
             if x is None:
                 raise ExactnessViolation("kernel lattice is not action-stable")
             sol_cols.append(x)

@@ -135,11 +135,17 @@ def dual_hom_map(data: HomSpaceData) -> IntMatrix:
     Hom(xh, Z) is spanned by the rows of u at the zero entries of the Smith
     form u * relations * v == d of the stabilizer characters.
     """
+    return _dual_hom_map_and_diagonal(data)[0]
+
+
+def _dual_hom_map_and_diagonal(data: HomSpaceData):
+    """`dual_hom_map` and the Smith diagonal of the stabilizer relations it was read from."""
     s = smith_normal_form(data.xh.relations)
-    rows = [row for row, d in zip(s.u.data, s.diagonal()) if d == 0]
+    diag = s.diagonal()
+    rows = [row for row, d in zip(s.u.data, diag) if d == 0]
     functionals = IntMatrix(len(rows), data.xh.gens, rows)
     _, _, from_g = lattice_form(data.xg)
-    return functionals.mul(data.res.matrix).mul(from_g.matrix).transpose()
+    return functionals.mul(data.res.matrix).mul(from_g.matrix).transpose(), diag
 
 
 def upic_dual(data: HomSpaceData) -> DualReport:
@@ -156,11 +162,11 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     h0 = cohomology_invariants(dual, 0)
     hminus1 = cohomology_invariants(dual, -1)
 
-    dmap = dual_hom_map(data)
+    dmap, xh_diag = _dual_hom_map_and_diagonal(data)
     kernel = kernel_basis(dmap)
     kernel_inv = AbelianInvariants(kernel.cols)
     coker_inv = cokernel_invariants(dmap)
-    xh_tors = AbelianInvariants(0, data.xh.underlying_invariants().torsion)
+    xh_tors = AbelianInvariants(0, [d for d in xh_diag if d > 1])
 
     problems = []
     if hminus1.torsion:

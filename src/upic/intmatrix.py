@@ -26,6 +26,13 @@ transform column.  `solve_integer` runs the same forward reduction and
 back-substitutes through the transform columns.  `IntMatrix.mul` (the
 kernel's `matmul`) skips zero entries: the permutation actions and block
 matrices it sees are mostly zeros.
+
+The public constructor `IntMatrix(rows, cols, data)` copies its rows and
+checks the shape.  Matrices built in this module (products, sums, stacks,
+transposes, block diagonals, Hermite and Smith forms, kernel bases) are
+wrapped by `_wrap` instead, without a copy or a scan: their rows are new
+lists, never shared with an operand.  Loops over columns read them
+through one transpose (`IntMatrix.columns`) or slice the rows directly.
 """
 
 from __future__ import annotations
@@ -53,50 +60,48 @@ class IntMatrix:
         self._hnf_cache = None
         self._hnf_view = None
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "IntMatrix":
+        return _wrap(rows, cols, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        data = [[0] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = 1
-        return cls(n, n, data)
+    @staticmethod
+    def identity(n: int) -> "IntMatrix":
+        return IntMatrix.diagonal(n, n, [1] * n)
 
-    @classmethod
-    def diagonal(cls, rows: int, cols: int, diag) -> "IntMatrix":
+    @staticmethod
+    def diagonal(rows: int, cols: int, diag) -> "IntMatrix":
         data = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(diag):
             data[i][i] = d
-        return cls(rows, cols, data)
+        return _wrap(rows, cols, data)
 
-    @classmethod
-    def from_columns(cls, rows: int, columns) -> "IntMatrix":
-        columns = [list(c) for c in columns]
-        for c in columns:
-            if len(c) != rows:
-                raise ValueError("column length mismatch")
-        data = [[c[i] for c in columns] for i in range(rows)]
-        return cls(rows, len(columns), data)
+    @staticmethod
+    def from_columns(rows: int, columns) -> "IntMatrix":
+        columns = list(columns)
+        if any(len(c) != rows for c in columns):
+            raise ValueError("column length mismatch")
+        if not columns:
+            return IntMatrix.zeros(rows, 0)
+        return _wrap(rows, len(columns), [list(r) for r in zip(*columns)])
 
     def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.data]
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        """All columns as lists, read through one transpose."""
+        if not self.rows:
+            return [[] for _ in range(self.cols)]
+        return [list(c) for c in zip(*self.data)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [list(r) for r in zip(*self.data)] if self.data and self.cols else [[] for _ in range(self.cols)])
+        return _wrap(self.cols, self.rows, self.columns())
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0:
+        if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return IntMatrix.zeros(self.rows, other.cols)
-        if self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        return IntMatrix(self.rows, other.cols, kernels.matmul(self.data, other.data))
+        return _wrap(self.rows, other.cols, kernels.matmul(self.data, other.data))
 
     def apply(self, vec: list) -> list:
         if len(vec) != self.cols:
@@ -105,41 +110,39 @@ class IntMatrix:
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return _wrap(self.rows, self.cols, [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return _wrap(self.rows, self.cols, [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return _wrap(self.rows, self.cols, [[-a for a in r] for r in self.data])
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[k * a for a in r] for r in self.data])
+        return _wrap(self.rows, self.cols, [[k * a for a in r] for r in self.data])
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols, [r + s for r, s in zip(self.data, other.data)])
+        return _wrap(self.rows, self.cols + other.cols, [r + s for r, s in zip(self.data, other.data)])
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return _wrap(self.rows + other.rows, self.cols, [r[:] for r in self.data] + [r[:] for r in other.data])
 
     @staticmethod
     def block_diagonal(blocks) -> "IntMatrix":
         blocks = list(blocks)
-        rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        out = [[0] * cols for _ in range(rows)]
-        ro = co = 0
+        out = []
+        left = 0
         for b in blocks:
-            for i in range(b.rows):
-                out[ro + i][co : co + b.cols] = b.data[i]
-            ro += b.rows
-            co += b.cols
-        return IntMatrix(rows, cols, out)
+            pad_left, pad_right = [0] * left, [0] * (cols - left - b.cols)
+            out.extend(pad_left + row + pad_right for row in b.data)
+            left += b.cols
+        return _wrap(len(out), cols, out)
 
     def is_zero(self) -> bool:
         return all(not any(r) for r in self.data)
@@ -166,11 +169,7 @@ class IntMatrix:
         """Cached column Hermite form (h, v, pivots) with self * v == h."""
         if self._hnf_cache is None:
             h, v, piv = kernels.hnf_cols(self.data, self.rows, self.cols)
-            self._hnf_cache = (
-                IntMatrix(self.rows, self.cols, h),
-                IntMatrix(self.cols, self.cols, v),
-                tuple(piv),
-            )
+            self._hnf_cache = (_wrap(self.rows, self.cols, h), _wrap(self.cols, self.cols, v), tuple(piv))
         return self._hnf_cache
 
     def hermite_view(self) -> tuple:
@@ -192,6 +191,21 @@ class IntMatrix:
                 view.append((r, col[r], below, [(j, t_col[j]) for j in compress(cols, t_col)]))
             self._hnf_view = tuple(view)
         return self._hnf_view
+
+
+def _wrap(rows: int, cols: int, data: list) -> IntMatrix:
+    """An IntMatrix around rows this module has just built: no copy, no shape check.
+
+    Every caller passes fresh row lists of the right shape, so no result
+    shares a row with an operand or with the caller's input.
+    """
+    m = object.__new__(IntMatrix)
+    m.rows = rows
+    m.cols = cols
+    m.data = data
+    m._hnf_cache = None
+    m._hnf_view = None
+    return m
 
 
 class SparseCols:
@@ -256,7 +270,7 @@ class SparseCols:
         for c, col in enumerate(self.entries):
             for r, v in col.items():
                 data[r][c] = v
-        return IntMatrix(self.rows, self.cols, data)
+        return _wrap(self.rows, self.cols, data)
 
 
 def _sub_multiple(v: dict, q: int, b: dict) -> dict:
@@ -397,11 +411,7 @@ class AbelianInvariants:
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     d, u, v = kernels.snf(a.data, a.rows, a.cols, True)
-    return SmithDecomposition(
-        IntMatrix(a.rows, a.rows, u),
-        IntMatrix(a.rows, a.cols, d),
-        IntMatrix(a.cols, a.cols, v),
-    )
+    return SmithDecomposition(_wrap(a.rows, a.rows, u), _wrap(a.rows, a.cols, d), _wrap(a.cols, a.cols, v))
 
 
 def _diagonal(d, rows: int, cols: int) -> list:
@@ -416,9 +426,9 @@ def smith_diagonal(a: IntMatrix) -> list:
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of {x : a*x == 0}, as columns."""
-    h, v, pivots = a.hermite()
-    first_free = len(pivots)
-    return IntMatrix.from_columns(a.cols, [v.column(j) for j in range(first_free, a.cols)])
+    _, v, pivots = a.hermite()
+    first_free = len(pivots)  # the pivot columns come first
+    return _wrap(a.cols, a.cols - first_free, [row[first_free:] for row in v.data])
 
 
 def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> IntMatrix:
@@ -441,8 +451,8 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     n = d.cols
     sparse = d if isinstance(d, SparseCols) else SparseCols.from_dense(d)
     cols = [dict(c) for c in sparse.entries]
-    for j in range(target_relations.cols):
-        cols.append({i: -x for i, x in enumerate(target_relations.column(j)) if x})
+    for rel in target_relations.columns():
+        cols.append({i: -x for i, x in enumerate(rel) if x})
     # the relation coordinates project to zero
     trans = [{j: 1} for j in range(n)] + [{} for _ in range(target_relations.cols)]
     row_cols = {}
@@ -509,7 +519,8 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     span = SparseCols(n, len(spanning))
     span.entries = spanning
     h, _, pivots = span.to_dense().hermite()
-    return IntMatrix.from_columns(n, [h.column(c) for _, c in pivots])
+    rank = len(pivots)  # the pivot columns come first
+    return _wrap(n, rank, [row[:rank] for row in h.data])
 
 
 def _reduce(view: tuple, vec: list, steps: list | None = None) -> bool:
@@ -582,8 +593,8 @@ def subquotient_relations(cycles: IntMatrix, boundaries: IntMatrix) -> IntMatrix
     if boundaries.rows != cycles.rows:
         raise ValueError("cycles and boundaries must live in the same ambient space")
     coord_cols = []
-    for j in range(boundaries.cols):
-        x = solve_integer(cycles, boundaries.column(j))
+    for j, col in enumerate(boundaries.columns()):
+        x = solve_integer(cycles, col)
         if x is None:
             raise BoundaryNotInCycles(f"boundary column {j} is outside the cycle lattice")
         coord_cols.append(x)

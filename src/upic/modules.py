@@ -227,24 +227,25 @@ def norm_one_lattice(n: int) -> PresentedModule:
 
 
 def direct_sum(a: PresentedModule, b: PresentedModule) -> PresentedModule:
-    if a.group is not b.group and a.group != b.group:
-        raise ValidationError(["direct sum of modules over different groups"])
-    return PresentedModule(
-        a.group,
-        a.gens + b.gens,
-        IntMatrix.block_diagonal([a.relations, b.relations]),
-        [IntMatrix.block_diagonal([a.action_of(g), b.action_of(g)]) for g in range(a.group.order)],
-    )
+    return direct_sum_many([a, b])
 
 
 def direct_sum_many(mods) -> PresentedModule:
+    """One block-diagonal relation matrix and one block-diagonal action per element."""
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum needs an explicit group")
-    out = mods[0]
-    for m in mods[1:]:
-        out = direct_sum(out, m)
-    return out
+    if len(mods) == 1:
+        return mods[0]
+    group = mods[0].group
+    if any(m.group is not group and m.group != group for m in mods[1:]):
+        raise ValidationError(["direct sum of modules over different groups"])
+    return PresentedModule(
+        group,
+        sum(m.gens for m in mods),
+        IntMatrix.block_diagonal([m.relations for m in mods]),
+        [IntMatrix.block_diagonal([m.action[g] for m in mods]) for g in range(group.order)],
+    )
 
 
 def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:

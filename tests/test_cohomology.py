@@ -452,6 +452,27 @@ class TestResolutions:
         with pytest.raises(ExactnessViolation, match=message):
             group_cohomology(g, trivial_module(g), 2)
 
+    def test_group_and_resolution_form_no_cycle(self):
+        # the resolution kept on a group must not refer back to it, or every
+        # group built and dropped waits for the cyclic collector to be freed
+        import gc
+
+        def work():
+            g = FiniteGroup.cyclic(6)
+            group_cohomology(g, norm_one_lattice_of(g), 2)
+            assert g._resolution is not None
+
+        work()
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_concurrent_extension(self):
         # threads sharing one group extend its cached resolution; each level
         # must be appended once, and every thread must see the same values

@@ -8,6 +8,8 @@ from upic.intmatrix import AbelianInvariants, IntMatrix
 from upic.modules import (
     ModuleMap,
     PresentedModule,
+    direct_sum,
+    direct_sum_many,
     dual_lattice,
     equivariant_by_transfer,
     finite_cyclic_module,
@@ -185,6 +187,47 @@ class TestDual:
             assert m.contains_columns(from_free.matrix.mul(to_free.matrix).sub(IntMatrix.identity(m.gens)))
             assert to_free.validate() == [] and from_free.validate() == []
             assert validate_module(free) == []
+
+
+def _blocks(mats):
+    """Block-diagonal matrix, entry by entry, in summand order."""
+    rows, cols = sum(m.rows for m in mats), sum(m.cols for m in mats)
+    out = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[r0 + i][c0 + j] = m.data[i][j]
+        r0, c0 = r0 + m.rows, c0 + m.cols
+    return IntMatrix(rows, cols, out)
+
+
+class TestDirectSum:
+    def test_many_equals_pairwise_fold(self, rng):
+        """One block diagonal per element gives the relations and actions of the two-term fold."""
+        from functools import reduce
+
+        from conftest import random_module
+
+        s3 = FiniteGroup.symmetric(3)
+        fixed = [
+            zero_module(s3),
+            finite_cyclic_module(s3, 4),
+            regular_module(s3),
+            zero_module(s3),
+            norm_one_lattice_of(s3),
+        ]
+        families = [fixed, [random_module(s3, rng) for _ in range(4)], [zero_module(s3)] * 3]
+        for mods in families:
+            many = direct_sum_many(mods)
+            fold = reduce(direct_sum, mods)
+            assert many.gens == fold.gens == sum(m.gens for m in mods)
+            assert many.relations == fold.relations == _blocks([m.relations for m in mods])
+            assert many.action == fold.action
+            assert list(many.action) == [_blocks([m.action_of(g) for m in mods]) for g in range(s3.order)]
+            assert validate_module(many) == []
+        with pytest.raises(ValidationError):
+            direct_sum_many([trivial_module(s3), trivial_module(FiniteGroup.cyclic(2))])
 
 
 class TestNormOne:

@@ -252,6 +252,19 @@ class TestDualPipeline:
         for data in cases:
             assert dual_hom_map(data) == _dual_hom_map_reference(data)
 
+    def test_stabilizer_torsion_read_off_the_dual_map_smith_form(self):
+        """The report's stabilizer torsion is the torsion of the stabilizer character group."""
+        from upic.cli import FIXTURES, fixture_text
+        from upic.taskfile import parse_task_text
+
+        cases = [sln_normalizer_data()]
+        for name in FIXTURES:
+            cases.extend(parse_task_text(fixture_text(name)).build().homspace.values())
+        assert any(data.xh.underlying_invariants().torsion for data in cases)
+        for data in cases:
+            rep = upic_dual(data)
+            assert rep.stabilizer_torsion == AbelianInvariants(0, data.xh.underlying_invariants().torsion)
+
     def test_sln_normalizer(self):
         rep = upic_dual(sln_normalizer_data())
         assert rep.h0 == AbelianInvariants(0, [2])

@@ -404,3 +404,185 @@ def test_backends_agree():
         else:
             rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
         check_kernel_contracts(_kernels_py, rows, m, n)
+
+
+def _seed_hnf_cols(a, m, n):
+    """The Hermite kernel as it was before live-row operations, kept frozen as a reference.
+
+    Every swap, negation and column operation runs over all rows of h and v.
+    """
+    h = [list(row) for row in a]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots = []
+    c = 0
+    for r in range(m):
+        if c >= n:
+            break
+        hr = h[r]
+        placed = False
+        while True:
+            best = None
+            bj = -1
+            for j in range(c, n):
+                x = hr[j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best is None or ax < best:
+                        best, bj = ax, j
+                        if ax == 1:
+                            break
+            if best is None:
+                break
+            placed = True
+            if bj != c:
+                for row in h:
+                    row[c], row[bj] = row[bj], row[c]
+                for row in v:
+                    row[c], row[bj] = row[bj], row[c]
+            if hr[c] < 0:
+                for row in h:
+                    row[c] = -row[c]
+                for row in v:
+                    row[c] = -row[c]
+            p = hr[c]
+            clean = True
+            for j in range(c + 1, n):
+                b = hr[j]
+                if b:
+                    q = b // p
+                    if q:
+                        for row in h:
+                            row[j] -= q * row[c]
+                        for row in v:
+                            row[j] -= q * row[c]
+                    if hr[j]:
+                        clean = False
+            if clean:
+                break
+        if not placed:
+            continue
+        p = hr[c]
+        for j in range(c):
+            q = hr[j] // p
+            if q:
+                for row in h:
+                    row[j] -= q * row[c]
+                for row in v:
+                    row[j] -= q * row[c]
+        pivots.append((r, c))
+        c += 1
+    return h, v, pivots
+
+
+def _hnf_cases(rng):
+    """Seeded (rows, m, n) inputs: tall sparse, zero rows and columns, rank-deficient, wide entries, empty shapes."""
+
+    def sparse(m, n, density, pool=(1, -1, 2, -3, 5)):
+        return [[rng.choice(pool) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+
+    cases = []
+    for _ in range(12):  # tall and sparse, like the differentials of the resolutions
+        cases.append((sparse(60, 8, 0.05), 60, 8))
+        cases.append((sparse(40, 12, 0.1), 40, 12))
+    for _ in range(12):  # zero rows and zero columns spliced in
+        m, n = rng.randint(3, 14), rng.randint(3, 14)
+        rows = sparse(m, n, 0.4)
+        for i in rng.sample(range(m), rng.randint(1, m // 2)):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, n // 2)):
+            for row in rows:
+                row[j] = 0
+        cases.append((rows, m, n))
+    for _ in range(12):  # rank at most k through a narrow middle
+        m, n = rng.randint(4, 16), rng.randint(4, 16)
+        k = rng.randint(1, 3)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        cases.append(([[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(n)] for row in left], m, n))
+    for _ in range(6):  # dense, with entries past a machine word
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(([[rng.randint(-(1 << 70), 1 << 70) for _ in range(n)] for _ in range(m)], m, n))
+    for k in (0, 1, 5):
+        cases.append(([], 0, k))
+        cases.append(([[] for _ in range(k)], k, 0))
+    return cases
+
+
+def test_hnf_cols_bit_identical_to_seed_kernel():
+    """Live-row operations give the same (h, v, pivots) as operating on every row."""
+    rng = random.Random(10)
+    cases = _hnf_cases(rng)
+    for rows, m, n in cases:
+        before = [list(r) for r in rows]
+        assert _kernels_py.hnf_cols(rows, m, n) == _seed_hnf_cols(rows, m, n)
+        assert rows == before  # the argument is not mutated
+    for rows, m, n in cases:
+        if m * n >= 200:
+            check_kernel_contracts(_kernels_py, rows, m, n)
+
+
+def test_kernel_signatures_match_tracer_patch_points():
+    """The benchmark tracer patches these three names and unpacks their arguments and results by position."""
+    import inspect
+
+    from upic._backend import kernels
+
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, arity in (("hnf_cols", 3), ("matmul", 2), ("snf", 4)):
+        fn = getattr(kernels, name, None)
+        assert callable(fn), f"upic._backend.kernels has no {name}"
+        params = list(inspect.signature(fn).parameters.values())
+        assert len(params) == arity and all(p.kind in positional for p in params), (name, params)
+    h, v, pivots = kernels.hnf_cols([[2, 1]], 1, 2)
+    d, u, w = kernels.snf([[2, 1]], 1, 2, True)
+    assert kernels.matmul([[2, 1]], v) == h and pivots == [(0, 0)]
+    assert kernels.matmul(kernels.matmul(u, [[2, 1]]), w) == d
+
+
+def test_public_constructor_copies_and_checks():
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, [[1], [2, 3]])
+    with pytest.raises(ValueError):
+        IntMatrix(1, 2, [[1, 2], [3, 4]])
+    rows = [[1, 2], [3, 4]]
+    a = IntMatrix(2, 2, rows)
+    assert all(r is not s for r, s in zip(a.data, rows))
+    rows[0][0] = 9
+    assert a.data == [[1, 2], [3, 4]]
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns(2, [[1, 2], [3]])
+
+
+def test_results_share_no_row_with_an_operand():
+    rng = random.Random(13)
+
+    def rand(m, n):
+        return IntMatrix(m, n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+
+    a, b, c = rand(3, 3), rand(3, 3), rand(3, 2)
+    columns = [[1, 2, 3], [4, 5, 6]]
+    results = {
+        "mul": (a.mul(b), [a, b]),
+        "add": (a.add(b), [a, b]),
+        "hstack": (a.hstack(c), [a, c]),
+        "vstack": (a.vstack(b), [a, b]),
+        "transpose": (a.transpose(), [a]),
+        "block_diagonal": (IntMatrix.block_diagonal([a, IntMatrix.zeros(0, 2), c]), [a, c]),
+        "block_diagonal of one": (IntMatrix.block_diagonal([a]), [a]),
+        "from_columns": (IntMatrix.from_columns(3, columns), []),
+    }
+    for name, (out, operands) in results.items():
+        assert len(out.data) == out.rows and all(len(r) == out.cols for r in out.data), name
+        held = {id(r) for m in operands for r in m.data} | {id(r) for r in columns}
+        assert not any(id(r) in held for r in out.data), name
+    # the 0x2 block adds two zero columns and no row
+    assert results["block_diagonal"][0] == IntMatrix(
+        6, 7, [r + [0] * 4 for r in a.data] + [[0] * 5 + r for r in c.data]
+    )
+    assert results["vstack"][0].data == a.data + b.data
+    assert results["from_columns"][0] == IntMatrix(3, 2, [[1, 4], [2, 5], [3, 6]])
+    for m, n in ((0, 0), (0, 3), (3, 0)):
+        z = IntMatrix.zeros(m, n)
+        assert z.transpose() == IntMatrix.zeros(n, m)
+        assert z.columns() == [[0] * m for _ in range(n)]
+        assert IntMatrix.from_columns(m, z.columns()) == z
