@@ -55,7 +55,8 @@ from .modules import PresentedModule
 # limits grow with the ranks, and a cyclic group's resolution has rank 1 in
 # every degree, so only this one stops a degree of 10^9.
 DEGREE_LIMIT = 4
-# Largest number of elements, and of cochains, the enumeration oracle lists.
+# Largest module, counted in elements, and largest cochain space, counted in
+# points, the enumeration oracle searches.
 ENUMERATION_LIMIT = 1 << 20
 # Largest total rank of the degree-(n+1) cochains HyperTotal assembles for
 # H^n.  Over the bar resolution brauer_a on J_G needs (|G|-1)^4 and is
@@ -390,94 +391,129 @@ def cyclic_oracle(group: FiniteGroup, m: PresentedModule, degree: int) -> Abelia
 
 
 class _FiniteModule:
-    """Element table of a finite presented module, in Smith coordinates."""
+    """Element table of a finite presented module, in Smith coordinates.
 
-    __slots__ = ("m", "diag", "u", "u_inv", "elements", "index", "action_tables", "size")
+    Element i is elements[i], its coordinates along the Smith diagonal, in
+    lexicographic order, so element 0 is zero; action_tables[g][i] is the
+    index of g.i and neg[i] that of -i.  `s` is the Smith form of
+    m.relations, with no free part.
+    """
 
-    def __init__(self, m: PresentedModule):
-        s = smith_normal_form(m.relations)
-        self.m = m
+    __slots__ = ("diag", "elements", "action_tables", "neg")
+
+    def __init__(self, m: PresentedModule, s):
         self.diag = s.diagonal()
-        if 0 in self.diag:
-            raise ValidationError(["module is infinite; the enumeration oracle needs finite coefficients"])
-        self.u = s.u
-        self.u_inv = unimodular_inverse(s.u)
-        self.size = math.prod(self.diag)
-        if self.size > ENUMERATION_LIMIT:
-            raise BudgetExceeded(f"module has more than {ENUMERATION_LIMIT} elements")
+        u_inv = unimodular_inverse(s.u)
         self.elements = list(itertools.product(*map(range, self.diag)))
-        self.index = {t: i for i, t in enumerate(self.elements)}
         self.action_tables = []
         for g in range(m.group.order):
-            mat = self.u.mul(m.action_of(g)).mul(self.u_inv)
-            table = []
-            for t in self.elements:
-                moved = mat.apply(list(t))
-                table.append(self.index[self._reduce(moved)])
-            self.action_tables.append(table)
+            mat = s.u.mul(m.action_of(g)).mul(u_inv)
+            self.action_tables.append([self.index(mat.apply(list(t))) for t in self.elements])
+        self.neg = [self.index([-x for x in t]) for t in self.elements]
 
-    def _reduce(self, coords):
-        return tuple(c % d for c, d in zip(coords, self.diag))
+    def index(self, coords) -> int:
+        """Index of the element with these Smith coordinates, reduced."""
+        i = 0
+        for c, d in zip(coords, self.diag):
+            i = i * d + c % d
+        return i
 
-    def zero(self) -> int:
-        return self.index[tuple(0 for _ in self.diag)]
-
-    def add(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        return self.index[self._reduce([x + y for x, y in zip(a, b)])]
-
-    def neg(self, i: int) -> int:
-        return self.index[self._reduce([-x for x in self.elements[i]])]
+    def total(self, faces, cochain) -> int:
+        """Index of the sum of table[cochain[slot]] over the faces (table, slot)."""
+        return self.index(map(sum, zip(*(self.elements[t[cochain[s]]] for t, s in faces))))
 
     def scale(self, k: int, i: int) -> int:
-        return self.index[self._reduce([k * x for x in self.elements[i]])]
+        return self.index([k * x for x in self.elements[i]])
+
+
+def _faces(group: FiniteGroup, fm: _FiniteModule, p: int) -> list:
+    """The coboundary of a normalized p-cochain c, one (p+1)-tuple at a time.
+
+    For each (p+1)-tuple of non-identity elements, in lexicographic order, the
+    faces (table, slot) whose table[c[slot]] sum to (dc)(g_0..g_p) =
+    g_0 c(g_1..g_p) + sum_i (-1)^i c(..g_(i-1) g_i..) + (-1)^(p+1) c(g_0..g_(p-1)),
+    slots numbered as `_slots` does; a face whose product is the identity
+    is dropped, as the cochain is normalized.
+    """
+    slot_of = _slots(group, p)
+    e = group.identity
+    signed = {1: fm.action_tables[e], -1: fm.neg}
+    out = []
+    for tup in itertools.product(_nonidentity(group), repeat=p + 1):
+        faces = [(fm.action_tables[tup[0]], slot_of[tup[1:]])]
+        sign = -1
+        for i in range(1, p + 1):
+            h = group.mul(tup[i - 1], tup[i])
+            if h != e:
+                faces.append((signed[sign], slot_of[tup[: i - 1] + (h,) + tup[i + 1 :]]))
+            sign = -sign
+        faces.append((signed[sign], slot_of[tup[:-1]]))
+        out.append(faces)
+    return out
+
+
+def _cocycles(group: FiniteGroup, fm: _FiniteModule, degree: int) -> list:
+    """Every normalized degree-cocycle, in lexicographic order of its slots.
+
+    A depth-first search sets the slots in order.  Each cocycle condition is
+    filed under the highest slot it reads and tested as soon as that slot
+    is set; a failed test prunes every extension of the partial cochain.
+    A slot is set at most |M| + |M|^2 + ... + |M|^n_slots times, for
+    |M| > 1 under twice the points of the cochain space.
+    """
+    size = len(fm.elements)
+    n_slots = (group.order - 1) ** degree
+    checks = [[] for _ in range(n_slots)]
+    for faces in _faces(group, fm, degree):
+        checks[max(s for _, s in faces)].append(faces)
+    found = []
+    cochain, x = [], 0
+    while True:
+        if len(cochain) < n_slots and x < size:
+            cochain.append(x)
+            if all(fm.total(faces, cochain) == 0 for faces in checks[len(cochain) - 1]):
+                x = 0
+                continue
+        else:
+            if len(cochain) == n_slots:
+                found.append(tuple(cochain))
+            if not cochain:
+                return found
+        x = cochain.pop() + 1
 
 
 def finite_coeff_bruteforce(group: FiniteGroup, m: PresentedModule, degree: int) -> AbelianInvariants:
-    """H^degree by exhaustive enumeration of normalized cochains.
+    """H^degree by exhaustive search of normalized cochains.
 
-    Only for finite coefficient modules and degree <= 2; the number of
-    cochains |M|^((order-1)^degree) must stay within ENUMERATION_LIMIT.
-    This is the second independent verification path next to the cyclic
-    oracle.
+    Only for finite coefficient modules and degree <= 2.  ENUMERATION_LIMIT
+    bounds the module's number of elements and its cochain space of
+    |M|^((order-1)^degree) points; both are checked from the Smith diagonal
+    before any element table is built.  `_cocycles` finds every cocycle,
+    the coboundaries are listed from every (degree-1)-cochain, and the
+    invariants follow from counting.  This is the second independent
+    verification path next to the cyclic oracle.
     """
     if degree < 0 or degree > 2:
         raise ValueError("enumeration oracle supports degrees 0..2")
-    fm = _FiniteModule(m)
-    slot_of = _slots(group, degree)
-    n_slots = len(slot_of)
-    if fm.size**n_slots > ENUMERATION_LIMIT:
-        raise BudgetExceeded(f"{fm.size}^{n_slots} cochains exceed the limit {ENUMERATION_LIMIT}")
-    e = group.identity
-    zero = fm.zero()
-
-    def coboundary(cochain, index, tup):
-        # (d c)(g_1..g_k) for the (k-1)-cochain c whose slots `index` numbers;
-        # normalized, so a face with an identity entry contributes nothing
-        acc = fm.action_tables[tup[0]][cochain[index[tup[1:]]]]
-        sign = -1
-        for i in range(1, len(tup)):
-            h = group.mul(tup[i - 1], tup[i])
-            if h != e:
-                v = cochain[index[tup[: i - 1] + (h,) + tup[i + 1 :]]]
-                acc = fm.add(acc, v if sign > 0 else fm.neg(v))
-            sign = -sign
-        v = cochain[index[tup[:-1]]]
-        return fm.add(acc, v if sign > 0 else fm.neg(v))
-
-    up_tuples = list(itertools.product(_nonidentity(group), repeat=degree + 1))
-    cocycles = [
-        cochain
-        for cochain in itertools.product(range(fm.size), repeat=n_slots)
-        if all(coboundary(cochain, slot_of, tup) == zero for tup in up_tuples)
-    ]
+    smith = smith_normal_form(m.relations)
+    diag = smith.diagonal()
+    if 0 in diag:
+        raise ValidationError(["module is infinite; the enumeration oracle needs finite coefficients"])
+    size = math.prod(diag)
+    if size > ENUMERATION_LIMIT:
+        raise BudgetExceeded(f"module has more than {ENUMERATION_LIMIT} elements")
+    n_slots = (group.order - 1) ** degree
+    if size**n_slots > ENUMERATION_LIMIT:
+        raise BudgetExceeded(f"{size}^{n_slots} cochains exceed the limit {ENUMERATION_LIMIT}")
+    fm = _FiniteModule(m, smith)
+    cocycles = _cocycles(group, fm, degree)
     if degree == 0:
-        coboundaries = {(zero,)}
+        coboundaries = {(0,)}
     else:
-        down_slot = _slots(group, degree - 1)
+        down = _faces(group, fm, degree - 1)
         coboundaries = {
-            tuple(coboundary(low, down_slot, tup) for tup in slot_of)
-            for low in itertools.product(range(fm.size), repeat=len(down_slot))
+            tuple(fm.total(faces, low) for faces in down)
+            for low in itertools.product(range(size), repeat=(group.order - 1) ** (degree - 1))
         }
 
     def vec_scale(k, cochain):

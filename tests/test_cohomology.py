@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import pytest
 
@@ -6,6 +8,7 @@ from upic import cohomology
 from upic.cohomology import (
     COCHAIN_RANK_LIMIT,
     DEGREE_LIMIT,
+    ENUMERATION_LIMIT,
     RESOLUTION_BUILD_LIMIT,
     BarResolution,
     HyperTotal,
@@ -16,9 +19,9 @@ from upic.cohomology import (
     hypercohomology,
 )
 from upic.complexes import one_term, two_term, zero_complex
-from upic.errors import BudgetExceeded, ExactnessViolation, NotCyclic
+from upic.errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
 from upic.groups import FiniteGroup
-from upic.intmatrix import AbelianInvariants, IntMatrix
+from upic.intmatrix import AbelianInvariants, IntMatrix, smith_normal_form, unimodular_inverse
 from upic.modules import (
     ModuleMap,
     finite_cyclic_module,
@@ -127,6 +130,201 @@ class TestCyclicOracle:
                     assert group_cohomology(g, m, i) == cyclic_oracle(g, m, i)
 
 
+def _frozen_slots(group, p):
+    nonidentity = [g for g in range(group.order) if g != group.identity]
+    return {t: i for i, t in enumerate(itertools.product(nonidentity, repeat=p))}
+
+
+class _FrozenFiniteModule:
+    """The element table finite_coeff_bruteforce used before its cocycle search."""
+
+    __slots__ = ("m", "diag", "u", "u_inv", "elements", "index", "action_tables", "size")
+
+    def __init__(self, m):
+        s = smith_normal_form(m.relations)
+        self.m = m
+        self.diag = s.diagonal()
+        if 0 in self.diag:
+            raise ValidationError(["module is infinite; the enumeration oracle needs finite coefficients"])
+        self.u = s.u
+        self.u_inv = unimodular_inverse(s.u)
+        self.size = math.prod(self.diag)
+        if self.size > ENUMERATION_LIMIT:
+            raise BudgetExceeded(f"module has more than {ENUMERATION_LIMIT} elements")
+        self.elements = list(itertools.product(*map(range, self.diag)))
+        self.index = {t: i for i, t in enumerate(self.elements)}
+        self.action_tables = []
+        for g in range(m.group.order):
+            mat = self.u.mul(m.action_of(g)).mul(self.u_inv)
+            table = []
+            for t in self.elements:
+                moved = mat.apply(list(t))
+                table.append(self.index[self._reduce(moved)])
+            self.action_tables.append(table)
+
+    def _reduce(self, coords):
+        return tuple(c % d for c, d in zip(coords, self.diag))
+
+    def zero(self) -> int:
+        return self.index[tuple(0 for _ in self.diag)]
+
+    def add(self, i: int, j: int) -> int:
+        a, b = self.elements[i], self.elements[j]
+        return self.index[self._reduce([x + y for x, y in zip(a, b)])]
+
+    def neg(self, i: int) -> int:
+        return self.index[self._reduce([-x for x in self.elements[i]])]
+
+    def scale(self, k: int, i: int) -> int:
+        return self.index[self._reduce([k * x for x in self.elements[i]])]
+
+
+def _frozen_bruteforce(group, m, degree):
+    """finite_coeff_bruteforce as it was, by filtering every cochain; returns (invariants, cocycles)."""
+    if degree < 0 or degree > 2:
+        raise ValueError("enumeration oracle supports degrees 0..2")
+    fm = _FrozenFiniteModule(m)
+    slot_of = _frozen_slots(group, degree)
+    n_slots = len(slot_of)
+    if fm.size**n_slots > ENUMERATION_LIMIT:
+        raise BudgetExceeded(f"{fm.size}^{n_slots} cochains exceed the limit {ENUMERATION_LIMIT}")
+    e = group.identity
+    zero = fm.zero()
+
+    def coboundary(cochain, index, tup):
+        # (d c)(g_1..g_k) for the (k-1)-cochain c whose slots `index` numbers;
+        # normalized, so a face with an identity entry contributes nothing
+        acc = fm.action_tables[tup[0]][cochain[index[tup[1:]]]]
+        sign = -1
+        for i in range(1, len(tup)):
+            h = group.mul(tup[i - 1], tup[i])
+            if h != e:
+                v = cochain[index[tup[: i - 1] + (h,) + tup[i + 1 :]]]
+                acc = fm.add(acc, v if sign > 0 else fm.neg(v))
+            sign = -sign
+        v = cochain[index[tup[:-1]]]
+        return fm.add(acc, v if sign > 0 else fm.neg(v))
+
+    up_tuples = list(itertools.product([g for g in range(group.order) if g != e], repeat=degree + 1))
+    cocycles = [
+        cochain
+        for cochain in itertools.product(range(fm.size), repeat=n_slots)
+        if all(coboundary(cochain, slot_of, tup) == zero for tup in up_tuples)
+    ]
+    if degree == 0:
+        coboundaries = {(zero,)}
+    else:
+        down_slot = _frozen_slots(group, degree - 1)
+        coboundaries = {
+            tuple(coboundary(low, down_slot, tup) for tup in slot_of)
+            for low in itertools.product(range(fm.size), repeat=len(down_slot))
+        }
+
+    def vec_scale(k, cochain):
+        return tuple(fm.scale(k, x) for x in cochain)
+
+    order = len(cocycles) // len(coboundaries)
+    if order * len(coboundaries) != len(cocycles):
+        raise ExactnessViolation("coboundaries do not divide cocycles")
+    if order == 1:
+        return AbelianInvariants(0), cocycles
+
+    # invariants from the counting function N(k) = #{z : k*z is a coboundary}
+    def count(k: int) -> int:
+        c = sum(1 for z in cocycles if vec_scale(k, z) in coboundaries)
+        if c % len(coboundaries):
+            raise ExactnessViolation("order counting is inconsistent")
+        return c // len(coboundaries)
+
+    primes = []
+    x = order
+    p = 2
+    while p * p <= x:
+        if x % p == 0:
+            primes.append(p)
+            while x % p == 0:
+                x //= p
+        p += 1
+    if x > 1:
+        primes.append(x)
+
+    # For H = (+) Z/e_i, count(p^s) = prod_i p^min(s, v_p(e_i)); hence
+    # log_p(count(p^s)/count(p^(s-1))) counts the factors with v_p >= s.
+    per_prime = {}
+    for p in primes:
+        at_least = []
+        prev = 1
+        s = 1
+        while True:
+            cur = count(p**s)
+            num = cur // prev
+            k = 0
+            while num > 1:
+                num //= p
+                k += 1
+            if k == 0:
+                break
+            at_least.append(k)
+            prev = cur
+            s += 1
+        powers = []
+        for s in range(len(at_least), 0, -1):
+            exactly = at_least[s - 1] - (at_least[s] if s < len(at_least) else 0)
+            powers.extend([p**s] * exactly)
+        per_prime[p] = sorted(powers, reverse=True)
+
+    length = max((len(v) for v in per_prime.values()), default=0)
+    chain = []
+    for pos in range(length):
+        d = 1
+        for vals in per_prime.values():
+            if pos < len(vals):
+                d *= vals[pos]
+        chain.append(d)
+    return AbelianInvariants(0, sorted(chain)), cocycles
+
+
+def _sign_character(group):
+    """The first nontrivial homomorphism from the group to {1, -1}, or None."""
+    n = group.order
+    for bits in range(1, 1 << n):
+        chi = [-1 if bits >> g & 1 else 1 for g in range(n)]
+        if all(chi[group.mul(a, b)] == chi[a] * chi[b] for a in range(n) for b in range(n)):
+            return chi
+    return None
+
+
+def _search_cases(rng):
+    """Z/n with the trivial and a sign action, and seeded modules of rank at most 2 in a random basis."""
+    from conftest import random_module
+    from upic.modules import PresentedModule, add_relations
+
+    groups = {
+        "C2": C2,
+        "C3": FiniteGroup.cyclic(3),
+        "C4": FiniteGroup.cyclic(4),
+        "V4": FiniteGroup.klein_four(),
+        "S3": FiniteGroup.symmetric(3),
+    }
+    for name, group in groups.items():
+        actions = {"trivial": [1] * group.order}
+        chi = _sign_character(group)
+        if chi is not None:
+            actions["sign"] = chi
+        for n in (2, 3, 4, 6):
+            for kind, chi in actions.items():
+                line = [IntMatrix(1, 1, [[c]]) for c in chi]
+                yield f"{name} Z/{n} {kind}", group, PresentedModule(group, 1, IntMatrix(1, 1, [[n]]), line)
+        for k in range(2):
+            m = random_module(group, rng, max_rank=2)
+            yield f"{name} seeded {k}", group, add_relations(m, IntMatrix.identity(m.gens).scale(rng.choice([2, 3])))
+
+
+# The frozen filter takes about 5 s on a cochain space of 4^9 points (pure
+# Python); spaces larger than this are checked against group_cohomology.
+FROZEN_CHECK_LIMIT = 1 << 16
+
+
 class TestBruteForce:
     def test_klein_h2(self):
         k4 = FiniteGroup.klein_four()
@@ -140,6 +338,48 @@ class TestBruteForce:
         c4 = FiniteGroup.cyclic(4)
         with pytest.raises(BudgetExceeded):
             finite_coeff_bruteforce(c4, finite_cyclic_module(c4, 6), 2)
+
+    def test_search_matches_frozen_filter(self, rng):
+        compared = refused = hermite = 0
+        for label, group, m in _search_cases(rng):
+            for degree in range(3):
+                try:
+                    value = finite_coeff_bruteforce(group, m, degree)
+                except BudgetExceeded:
+                    value = None
+                smith = smith_normal_form(m.relations)
+                space = math.prod(smith.diagonal()) ** ((group.order - 1) ** degree)
+                if value is not None and space > FROZEN_CHECK_LIMIT:
+                    assert value == group_cohomology(group, m, degree), (label, degree)
+                    hermite += 1
+                    continue
+                try:
+                    frozen, frozen_cocycles = _frozen_bruteforce(group, m, degree)
+                except BudgetExceeded:
+                    assert value is None, (label, degree)
+                    refused += 1
+                    continue
+                assert value == frozen, (label, degree)
+                fm = cohomology._FiniteModule(m, smith)
+                assert cohomology._cocycles(group, fm, degree) == frozen_cocycles, (label, degree)
+                compared += 1
+        assert (compared, refused, hermite) == (118, 15, 5)
+
+    def test_budget_checked_before_tables(self, monkeypatch):
+        from upic.modules import PresentedModule
+
+        def no_tables(*args):
+            raise AssertionError("element tables built for an over-budget module")
+
+        monkeypatch.setattr(cohomology, "_FiniteModule", no_tables)
+        k4 = FiniteGroup.klein_four()
+        for n, degree, message in (
+            (1024, 1, "1048576^3 cochains exceed the limit 1048576"),
+            (2048, 0, "module has more than 1048576 elements"),
+        ):
+            m = PresentedModule(k4, 2, IntMatrix.identity(2).scale(n), [IntMatrix.identity(2)] * 4)
+            with pytest.raises(BudgetExceeded, match=re.escape(message)):
+                finite_coeff_bruteforce(k4, m, degree)
 
     def test_matches_cochains(self):
         for group in (C2, FiniteGroup.cyclic(3), FiniteGroup.klein_four()):

@@ -3,10 +3,12 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from upic import cohomology
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main, run_tasks
 from upic.cohomology import DEGREE_LIMIT
 from upic.errors import TaskFileError, ValidationError
@@ -366,6 +368,28 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "enumeration oracle agreed" in out
+
+    def test_enumeration_oracle_refuses_before_tables(self, capsys, tmp_path, monkeypatch):
+        # Z/1024 + Z/1024 over V4 in degree 1: 2^20 elements, within the element
+        # limit, and 2^60 cochains; building its element tables took 20 s
+        def no_tables(*args):
+            raise AssertionError("element tables built for an over-budget module")
+
+        monkeypatch.setattr(cohomology, "_FiniteModule", no_tables)
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": [[i ^ j for j in range(4)] for i in range(4)]},
+            "generators": [1, 2],
+            "modules": {"M": {"gens": 2, "relations": [[1024, 0], [0, 1024]], "action": [[[1, 0], [0, 1]]] * 2}},
+            "tasks": [{"op": "group_cohomology", "module": "M", "degree": 1}],
+        }
+        p = tmp_path / "big.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = self.run_cli(capsys, "run", str(p), "--oracle", "on")
+        assert time.perf_counter() - start < 5
+        assert code == 0, err
+        assert "H^1(M) = Z/2 x Z/2 x Z/2 x Z/2 | oracle: enumeration oracle over budget; skipped" in out
 
     def test_degree_bound_flag(self, capsys, tmp_path):
         doc = fixture_doc("norm_one_2")
