@@ -363,6 +363,45 @@ def _canonical_class_generators(c: BoundedComplex, i: int) -> list:
     return [cycles.apply(u_inv.column(idx)) for idx, d in enumerate(s.diagonal()) if d != 1]
 
 
+def _solve_action(basis: IntMatrix, moved: IntMatrix) -> IntMatrix:
+    """X with basis * X == moved, column by column."""
+    cols = []
+    for col in moved.columns():
+        x = solve_integer(basis, col)
+        if x is None:
+            raise ExactnessViolation("kernel lattice is not action-stable")
+        cols.append(x)
+    return IntMatrix.from_columns(basis.cols, cols)
+
+
+def _kernel_lattice_module(bottom: PresentedModule, basis: IntMatrix) -> PresentedModule:
+    """The action of `bottom` restricted to the lattice spanned by the columns of `basis`.
+
+    X_g with basis * X_g == rho(g) * basis is solved for the group's
+    generators only; every other X_g is the product along a breadth-first
+    word, X_(s x) = X_s X_x.  Each X_g is checked against its equation and
+    solved directly if the check fails.  The basis has independent columns,
+    so X_g is unique and the result does not depend on the route.
+    """
+    group = bottom.group
+    gens = group.generators()
+    moved = [rho.mul(basis) for rho in bottom.action]
+    xs = {group.identity: IntMatrix.identity(basis.cols)}
+    for s in gens:
+        xs[s] = _solve_action(basis, moved[s])
+    for y, i, x in group.breadth_first_words(gens):
+        if y not in xs:
+            xs[y] = xs[gens[i]].mul(xs[x])
+    action = [
+        xs[g] if basis.mul(xs[g]) == moved[g] else _solve_action(basis, moved[g])
+        for g in range(group.order)
+    ]
+    a_prime = free_module(group, action)
+    if bottom._violations == () and not bottom.relations.cols:
+        a_prime._violations = ()  # the restriction of an honest action of the group
+    return a_prime
+
+
 def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     """Torsion-free resolution psi: M -> Y, a verified quasi-isomorphism.
 
@@ -419,17 +458,7 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     bottom = current.term(lo - 1)  # equals the module attached for degree lo
     basis = cycle_lattice(current.differential(lo - 1).matrix, current.term(lo).relations)
     rank = basis.cols
-    action = []
-    for g in range(group.order):
-        moved = bottom.action_of(g).mul(basis)
-        sol_cols = []
-        for col in moved.columns():
-            x = solve_integer(basis, col)
-            if x is None:
-                raise ExactnessViolation("kernel lattice is not action-stable")
-            sol_cols.append(x)
-        action.append(IntMatrix.from_columns(rank, sol_cols))
-    a_prime = free_module(group, action) if rank else zero_module(group)
+    a_prime = _kernel_lattice_module(bottom, basis) if rank else zero_module(group)
     m_terms[lo - 1] = a_prime
     m_diff_blocks[lo - 1] = basis
     psi_blocks[lo - 1] = IntMatrix.zeros(y.term(lo - 1).gens, rank)

@@ -21,7 +21,8 @@ MODULE_RANK_CAP = 2 * ORDER_CAP
 class FiniteGroup:
     # _resolution holds the group's small free resolution once
     # cohomology.small_resolution has built it; it grows with the degrees asked.
-    __slots__ = ("order", "table", "identity", "inverse", "_element_orders", "_resolution")
+    # _generators keeps generators() once computed.
+    __slots__ = ("order", "table", "identity", "inverse", "_element_orders", "_generators", "_resolution")
 
     def __init__(self, table):
         table = [list(row) for row in table]
@@ -59,6 +60,7 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = inverse
         self._element_orders = None
+        self._generators = None
         self._resolution = None
 
     @classmethod
@@ -165,6 +167,47 @@ class FiniteGroup:
             if self.element_order(g) == self.order:
                 return g
         return None
+
+    def breadth_first_words(self, gens) -> list:
+        """Every element reachable from the identity as a word in `gens`.
+
+        Returns triples (y, i, x) with y = gens[i] * x, where x is the
+        identity or an earlier y, in breadth-first order; each element other
+        than the identity appears once.  A value defined on the generators
+        (an action matrix, say) extends along these triples by one product
+        per element.
+        """
+        seen = {self.identity}
+        words = []
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for i, s in enumerate(gens):
+                    y = self.table[s][x]
+                    if y not in seen:
+                        seen.add(y)
+                        words.append((y, i, x))
+                        nxt.append(y)
+            frontier = nxt
+        return words
+
+    def generators(self) -> tuple:
+        """A generating set, greedy and deterministic: each is the lowest-index
+        element outside the subgroup the earlier ones generate.
+
+        Every step at least doubles that subgroup, so there are at most
+        log2(order) generators; the trivial group has none.
+        """
+        if self._generators is None:
+            gens = []
+            reached = {self.identity}
+            for g in range(self.order):
+                if g not in reached:
+                    gens.append(g)
+                    reached = {self.identity} | {y for y, _, _ in self.breadth_first_words(gens)}
+            self._generators = tuple(gens)
+        return self._generators
 
     def is_subgroup(self, elems) -> bool:
         s = set(elems)

@@ -4,6 +4,27 @@ A PresentedModule is Z^gens / (column span of `relations`) together with one
 integer action matrix per group element; every congruence below is taken
 modulo the relation columns.  Torsion is allowed, so character groups of
 disconnected stabilizers fit alongside honest lattices.
+
+A module's `_violations` keeps what `validate_module` found: None until it
+has run, and `()` for a valid module.  Besides `validate_module`, only the
+constructors here whose output is valid by construction set `()`:
+`induced_module` and `zero_module` (a group table is validated when the
+group is built), `direct_sum_many` when every summand carries `()`, and
+`lattice_form` and `dual_lattice` when their input does; so does the
+kernel-lattice module of `complexes.resolve_torsion_free`.  The public
+`PresentedModule(...)` constructor never sets it, so every module a caller
+builds is checked.
+
+A group acts through a generating set, so validity is checked there when
+it can be (see `FiniteGroup.generators`).  With the identity acting
+trivially and every element preserving the relation lattice L, the law
+rho(s)rho(h) == rho(sh) mod L for generators s and all h gives it for every
+product, by induction on a word for the first factor.  Likewise a map f
+with f(L_S) in L_T between valid modules commutes with every element once
+it commutes with the generators: f rho_S(s g') == rho_T(s) f rho_S(g') ==
+rho_T(s) rho_T(g') f == rho_T(s g') f.  Whenever such a shortcut fails, or
+its premises do not hold, the check runs element by element, so the
+violations reported are the same either way.
 """
 
 from __future__ import annotations
@@ -105,23 +126,32 @@ def validate_module(m: PresentedModule) -> list:
     if m._violations is not None:
         return list(m._violations)
     out = []
+    group, action = m.group, m.action
     ident = IntMatrix.identity(m.gens)
-    if not m.matrix_congruent(m.action_of(m.group.identity), ident):
+    if not m.matrix_congruent(action[group.identity], ident):
         out.append("action of the identity is not the identity modulo relations")
-    for g in range(m.group.order):
-        if not m.contains_columns(m.action_of(g).mul(m.relations)):
+    for g in range(group.order):
+        if not m.contains_columns(action[g].mul(m.relations)):
             out.append(f"action of element {g} does not preserve the relation lattice")
-    for g in range(m.group.order):
-        for h in range(m.group.order):
-            gh = m.group.mul(g, h)
-            if not m.matrix_congruent(m.action_of(g).mul(m.action_of(h)), m.action_of(gh)):
-                out.append(f"action({g})*action({h}) differs from action({gh}) modulo relations")
+
+    def product_law_fails(g, h):
+        return not m.matrix_congruent(action[g].mul(action[h]), action[group.table[g][h]])
+
+    # the product law on generators implies it everywhere, given the checks above
+    if out or any(product_law_fails(s, h) for s in group.generators() for h in range(group.order)):
+        for g in range(group.order):
+            for h in range(group.order):
+                if product_law_fails(g, h):
+                    gh = group.table[g][h]
+                    out.append(f"action({g})*action({h}) differs from action({gh}) modulo relations")
     m._violations = tuple(out)
     return out
 
 
 def zero_module(group: FiniteGroup) -> PresentedModule:
-    return PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
+    m = PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
+    m._violations = ()
+    return m
 
 
 def free_module(group: FiniteGroup, action) -> PresentedModule:
@@ -159,7 +189,9 @@ def induced_module(group: FiniteGroup, subgroup_elems) -> PresentedModule:
         for j, coset in enumerate(cosets):
             mat[where[group.mul(g, coset[0])]][j] = 1
         action.append(IntMatrix(k, k, mat))
-    return free_module(group, action)
+    m = free_module(group, action)
+    m._violations = ()  # a permutation action through a validated group table
+    return m
 
 
 def regular_module(group: FiniteGroup) -> PresentedModule:
@@ -187,6 +219,8 @@ def lattice_form(m: PresentedModule):
     from_mat = IntMatrix.from_columns(m.gens, [u_inv.column(i) for i in free_idx])
     action = [to_mat.mul(m.action_of(g)).mul(from_mat) for g in range(m.group.order)]
     free = free_module(m.group, action)
+    if m._violations == ():
+        free._violations = ()
     return free, ModuleMap(m, free, to_mat), ModuleMap(free, m, from_mat)
 
 
@@ -194,7 +228,10 @@ def dual_lattice(m: PresentedModule) -> PresentedModule:
     """Hom(-, Z) of a torsion-free module, with the contragredient action."""
     free, _, _ = lattice_form(m)
     action = [free.action_of(free.group.inv(g)).transpose() for g in range(free.group.order)]
-    return free_module(m.group, action)
+    dual = free_module(m.group, action)
+    if free._violations == ():
+        dual._violations = ()
+    return dual
 
 
 def norm_one_lattice_of(group: FiniteGroup) -> PresentedModule:
@@ -240,12 +277,15 @@ def direct_sum_many(mods) -> PresentedModule:
     group = mods[0].group
     if any(m.group is not group and m.group != group for m in mods[1:]):
         raise ValidationError(["direct sum of modules over different groups"])
-    return PresentedModule(
+    out = PresentedModule(
         group,
         sum(m.gens for m in mods),
         IntMatrix.block_diagonal([m.relations for m in mods]),
         [IntMatrix.block_diagonal([m.action[g] for m in mods]) for g in range(group.order)],
     )
+    if all(m._violations == () for m in mods):
+        out._violations = ()
+    return out
 
 
 def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:
@@ -288,13 +328,21 @@ class ModuleMap:
         if self._violations is not None:
             return list(self._violations)
         out = []
-        if not self.target.contains_columns(self.matrix.mul(self.source.relations)):
+        source, target, f = self.source, self.target, self.matrix
+        if not target.contains_columns(f.mul(source.relations)):
             out.append("map does not send source relations into target relations")
-        for g in range(self.source.group.order):
-            lhs = self.matrix.mul(self.source.action_of(g))
-            rhs = self.target.action_of(g).mul(self.matrix)
-            if not self.target.matrix_congruent(lhs, rhs):
-                out.append(f"map does not commute with the action of element {g}")
+
+        def commutes(g):
+            return target.matrix_congruent(f.mul(source.action[g]), target.action[g].mul(f))
+
+        # commuting with the generators suffices between valid modules (module docstring)
+        premises = not out and source._violations == () and target._violations == ()
+        if not premises or not all(commutes(s) for s in source.group.generators()):
+            out.extend(
+                f"map does not commute with the action of element {g}"
+                for g in range(source.group.order)
+                if not commutes(g)
+            )
         self._violations = tuple(out)
         return out
 

@@ -147,16 +147,8 @@ def parse_task_file(path) -> TaskFile:
 
 def _extend_actions(group: FiniteGroup, gen_indices, gen_mats, gens: int, name: str):
     mats = {group.identity: IntMatrix.identity(gens)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, gm in zip(gen_indices, gen_mats):
-                y = group.mul(gi, x)
-                if y not in mats:
-                    mats[y] = gm.mul(mats[x])
-                    nxt.append(y)
-        frontier = nxt
+    for y, i, x in group.breadth_first_words(gen_indices):
+        mats[y] = gen_mats[i].mul(mats[x])
     if len(mats) != group.order:
         raise ValidationError([f"module {name}: the declared generators do not generate the group"])
     return [mats[g] for g in range(group.order)]

@@ -209,6 +209,38 @@ def random_equivariant_map(source: PresentedModule, target: PresentedModule, rng
     return ModuleMap.zero(source, target)
 
 
+# Frozen references: the module and map checks run element by element, as
+# they were before the checks moved to a generating set.
+def full_validate_module(m: PresentedModule) -> list:
+    """validate_module as every element and every product, frozen; keeps nothing."""
+    out = []
+    ident = IntMatrix.identity(m.gens)
+    if not m.matrix_congruent(m.action_of(m.group.identity), ident):
+        out.append("action of the identity is not the identity modulo relations")
+    for g in range(m.group.order):
+        if not m.contains_columns(m.action_of(g).mul(m.relations)):
+            out.append(f"action of element {g} does not preserve the relation lattice")
+    for g in range(m.group.order):
+        for h in range(m.group.order):
+            gh = m.group.mul(g, h)
+            if not m.matrix_congruent(m.action_of(g).mul(m.action_of(h)), m.action_of(gh)):
+                out.append(f"action({g})*action({h}) differs from action({gh}) modulo relations")
+    return out
+
+
+def full_map_validate(f: ModuleMap) -> list:
+    """ModuleMap.validate over every element, frozen; keeps nothing."""
+    out = []
+    if not f.target.contains_columns(f.matrix.mul(f.source.relations)):
+        out.append("map does not send source relations into target relations")
+    for g in range(f.source.group.order):
+        lhs = f.matrix.mul(f.source.action_of(g))
+        rhs = f.target.action_of(g).mul(f.matrix)
+        if not f.target.matrix_congruent(lhs, rhs):
+            out.append(f"map does not commute with the action of element {g}")
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

@@ -2,6 +2,7 @@ import pytest
 
 from upic.complexes import (
     BoundedComplex,
+    _kernel_lattice_module,
     ComplexMap,
     TwoTermSES,
     all_cohomology,
@@ -21,7 +22,7 @@ from upic.complexes import (
 )
 from upic.errors import HasTorsion, NotExact, PreconditionH0, ValidationError
 from upic.groups import FiniteGroup
-from upic.intmatrix import AbelianInvariants, IntMatrix, cokernel_invariants
+from upic.intmatrix import AbelianInvariants, IntMatrix, cokernel_invariants, solve_integer
 from upic.modules import (
     ModuleMap,
     PresentedModule,
@@ -30,6 +31,7 @@ from upic.modules import (
     free_module,
     regular_module,
     trivial_module,
+    validate_module,
     zero_module,
 )
 
@@ -259,6 +261,37 @@ class TestResolve:
             psi = resolve_torsion_free(y)
             assert all(t.torsion_free() for t in psi.source.terms)
             assert len(psi.source.terms) <= len(y.trim().terms) + 1
+
+    def test_kernel_lattice_action_matches_solving_every_element(self, rng):
+        """The lowest term's action, built from generator solves and products, equals the
+        per-element solve, and the term is valid by construction."""
+        from conftest import full_validate_module, random_equivariant_map, random_module
+
+        groups = [FiniteGroup.cyclic(n) for n in (2, 4, 6)] + [FiniteGroup.symmetric(3), FiniteGroup.klein_four()]
+        for trial in range(10):
+            group = groups[trial % len(groups)]
+            a = random_module(group, rng, max_rank=2)
+            b = random_module(group, rng, max_rank=2)
+            f = random_equivariant_map(a, b, rng)
+            y = BoundedComplex(group, 0, [a, b], [f])
+            m = resolve_torsion_free(y).source
+            a_prime, bottom, basis = m.terms[0], m.terms[1], m.differentials[0].matrix
+            assert bottom._violations == () and a_prime._violations == ()
+            assert full_validate_module(a_prime) == []
+            for g in range(group.order):
+                moved = bottom.action[g].mul(basis)
+                expected = IntMatrix.from_columns(basis.cols, [solve_integer(basis, c) for c in moved.columns()])
+                assert a_prime.action[g] == expected
+
+    def test_kernel_lattice_action_falls_back_to_solving(self):
+        """Over Z/5 with C4 acting by powers of 2 the action is a homomorphism only modulo 5,
+        so products along words miss; those elements are solved, and no validity is claimed."""
+        c4 = FiniteGroup.cyclic(4)
+        bottom = PresentedModule(c4, 1, IntMatrix(1, 1, [[5]]), [IntMatrix(1, 1, [[2**k % 5]]) for k in range(4)])
+        assert validate_module(bottom) == []
+        a_prime = _kernel_lattice_module(bottom, IntMatrix.identity(1))
+        assert [x.data for x in a_prime.action] == [[[1]], [[2]], [[4]], [[3]]]
+        assert a_prime._violations is None and validate_module(a_prime) != []
 
 
 class TestDual:

@@ -23,6 +23,7 @@ from upic.modules import (
     validate_module,
     zero_module,
 )
+from conftest import full_map_validate, full_validate_module
 
 
 class TestFiniteGroup:
@@ -72,6 +73,73 @@ class TestFiniteGroup:
         k4 = FiniteGroup.klein_four()
         assert k4.order == 4
         assert all(k4.mul(g, g) == k4.identity for g in range(4))
+
+
+def _relabelled(group: FiniteGroup, rng: random.Random) -> FiniteGroup:
+    """An isomorphic copy of the group with its elements renumbered at random."""
+    perm = list(range(group.order))
+    rng.shuffle(perm)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b in range(group.order):
+            table[perm[a]][perm[b]] = perm[group.table[a][b]]
+    return FiniteGroup(table)
+
+
+def _generated(group: FiniteGroup, gens) -> set:
+    """The subgroup generated by `gens`, closed by brute force."""
+    out = {group.identity}
+    while True:
+        more = out | {group.mul(a, b) for a in out for b in list(gens) + list(out)}
+        if more == out:
+            return out
+        out = more
+
+
+class TestGenerators:
+    def groups(self):
+        rng = random.Random(12)
+        c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+        d4, _ = FiniteGroup.from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
+        out = [FiniteGroup.cyclic(n) for n in range(1, 11)]
+        out += [FiniteGroup.klein_four(), c2.direct_product(c4), d4, FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)]
+        out += [_relabelled(g, rng) for g in (FiniteGroup.klein_four(), c2.direct_product(c4)) for _ in range(3)]
+        out.append(c2.direct_product(c2).direct_product(c2).direct_product(c2).direct_product(FiniteGroup.cyclic(3)))
+        return out
+
+    def test_generating_and_small(self):
+        for g in self.groups():
+            gens = g.generators()
+            assert isinstance(gens, tuple) and g.identity not in gens
+            assert _generated(g, gens) == set(range(g.order))
+            assert 2 ** len(gens) <= g.order
+            # greedy: each generator is the lowest element outside what the earlier ones generate
+            for k, s in enumerate(gens):
+                assert s == min(set(range(g.order)) - _generated(g, gens[:k]))
+
+    def test_sizes(self):
+        assert FiniteGroup.trivial().generators() == ()
+        assert all(len(FiniteGroup.cyclic(n).generators()) == 1 for n in range(7, 11))
+        d4, _ = FiniteGroup.from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
+        c2xc4 = FiniteGroup.cyclic(2).direct_product(FiniteGroup.cyclic(4))
+        assert len(d4.generators()) == 2 and len(c2xc4.generators()) == 2
+        assert len(FiniteGroup.symmetric(4).generators()) == 2
+
+    def test_deterministic_and_kept(self):
+        for g in self.groups():
+            twin = FiniteGroup(g.table)
+            assert twin.generators() == g.generators()
+            assert g.generators() is g.generators()
+
+    def test_breadth_first_words(self):
+        for g in self.groups():
+            gens = g.generators()
+            words = g.breadth_first_words(gens)
+            assert sorted(y for y, _, _ in words) == sorted(set(range(g.order)) - {g.identity})
+            earlier = {g.identity}
+            for y, i, x in words:
+                assert x in earlier and y == g.mul(gens[i], x)
+                earlier.add(y)
 
 
 class TestValidation:
@@ -302,3 +370,174 @@ class TestModuleMap:
         assert k.cols == 1 and k.column(0) == [2]
         assert not f.is_injective()
         assert ModuleMap.zero(zero_module(c2), z2).validate() == []
+
+
+# --- checks on a generating set against the element-by-element loops -------
+
+
+def _with_action(m: PresentedModule, g: int, mat: IntMatrix) -> PresentedModule:
+    action = list(m.action)
+    action[g] = mat
+    return PresentedModule(m.group, m.gens, m.relations, action)
+
+
+def _random_matrix(rows: int, cols: int, rng: random.Random) -> IntMatrix:
+    return IntMatrix(rows, cols, [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])
+
+
+class TestGeneratorValidation:
+    """Checks run on a generating set report exactly what the full loops report."""
+
+    def groups(self):
+        rng = random.Random(31)
+        c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+        d4, _ = FiniteGroup.from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
+        return [
+            c2,
+            FiniteGroup.cyclic(3),
+            c4,
+            _relabelled(FiniteGroup.klein_four(), rng),
+            FiniteGroup.symmetric(3),
+            d4,
+            _relabelled(c2.direct_product(c4), rng),
+            FiniteGroup.cyclic(6),
+        ]
+
+    def test_valid_modules_and_maps(self, monkeypatch):
+        from conftest import random_equivariant_map, random_module
+
+        rng = random.Random(1201)
+        calls = []
+        original = PresentedModule.matrix_congruent
+
+        def counted(self, a, b):
+            calls.append(self)
+            return original(self, a, b)
+
+        groups = self.groups()
+        for trial in range(24):
+            group = groups[trial % 8]
+            a, b = random_module(group, rng), random_module(group, rng)
+            assert validate_module(a) == full_validate_module(a) == []
+            assert validate_module(b) == full_validate_module(b) == []
+            f = random_equivariant_map(a, b, rng)
+            fresh = ModuleMap(a, b, f.matrix)
+            monkeypatch.setattr(PresentedModule, "matrix_congruent", counted)
+            del calls[:]
+            assert fresh.validate() == []
+            monkeypatch.setattr(PresentedModule, "matrix_congruent", original)
+            assert len(calls) == len(group.generators())  # one congruence per generator
+            assert full_map_validate(fresh) == []
+            other = ModuleMap(a, b, _random_matrix(b.gens, a.gens, rng))
+            assert other.validate() == full_map_validate(other)
+
+    def test_module_broken_on_a_non_generator(self):
+        from conftest import random_module
+
+        rng = random.Random(1202)
+        broken = 0
+        groups = self.groups()
+        for trial in range(32):
+            group = groups[trial % 8]
+            others = [g for g in range(group.order) if g != group.identity and g not in group.generators()]
+            if not others:
+                continue
+            m = random_module(group, rng)
+            g = rng.choice(others)
+            bad = _with_action(m, g, m.action[g].scale(rng.choice([-1, 2, 3])))
+            expected = full_validate_module(bad)
+            assert validate_module(bad) == expected
+            broken += bool(expected)
+        assert broken >= 10
+
+    def test_relation_lattice_not_preserved(self):
+        from conftest import random_lattice_with_relations
+
+        rng = random.Random(1203)
+        not_preserved = 0
+        groups = self.groups()
+        for trial in range(24):
+            group = groups[trial % 8]
+            m = random_lattice_with_relations(group, rng)
+            g = rng.randrange(group.order)
+            bad = _with_action(m, g, m.action[g].add(_random_matrix(m.gens, m.gens, rng)))
+            expected = full_validate_module(bad)
+            assert validate_module(bad) == expected
+            not_preserved += any("preserve" in v for v in expected)
+            f = ModuleMap(bad, m, IntMatrix.identity(m.gens))
+            assert f.validate() == full_map_validate(f)
+        assert not_preserved >= 10
+
+    def test_generator_products_hold_but_lattice_not_preserved(self):
+        """C3 on Z^2 / (1, -1): the generator 1 moves the relation lattice, every product
+        with 1 first holds, and two products with 2 first fail; all of them are reported."""
+        c3 = FiniteGroup.cyclic(3)
+        action = [IntMatrix.identity(2), IntMatrix(2, 2, [[-1, -2], [2, 1]]), IntMatrix(2, 2, [[-1, -1], [-2, -2]])]
+        m = PresentedModule(c3, 2, IntMatrix(2, 1, [[1], [-1]]), action)
+        assert c3.generators() == (1,)
+        assert all(m.matrix_congruent(action[1].mul(action[h]), action[(1 + h) % 3]) for h in range(3))
+        assert validate_module(m) == full_validate_module(m) == [
+            "action of element 1 does not preserve the relation lattice",
+            "action(2)*action(1) differs from action(0) modulo relations",
+            "action(2)*action(2) differs from action(1) modulo relations",
+        ]
+
+    def test_map_commuting_with_generators_from_an_invalid_source(self):
+        """The identity from a module broken off the generators commutes with every generator
+        but not with the broken element; the source is invalid, so the full loop runs."""
+        from conftest import random_module
+
+        rng = random.Random(1204)
+        caught = 0
+        groups = self.groups()
+        for trial in range(24):
+            group = groups[trial % 8]
+            others = [g for g in range(group.order) if g != group.identity and g not in group.generators()]
+            if not others:
+                continue
+            target = random_module(group, rng)
+            assert validate_module(target) == []
+            g = rng.choice(others)
+            source = _with_action(target, g, target.action[g].neg())
+            validate_module(source)
+            f = ModuleMap(source, target, IntMatrix.identity(target.gens))
+            expected = full_map_validate(f)
+            assert f.validate() == expected
+            if expected:
+                assert all(target.matrix_congruent(source.action[s], target.action[s]) for s in group.generators())
+                caught += 1
+        assert caught >= 8
+
+    def test_map_off_the_relations_takes_the_full_loop(self):
+        """Z/3 -> Z, 1 |-> 1, over C3 with 2 acting by 4 on Z/3: the map commutes with the
+        generator, but not with 2, because it does not send the relation 3 to zero."""
+        c3 = FiniteGroup.cyclic(3)
+        source = PresentedModule(c3, 1, IntMatrix(1, 1, [[3]]), [IntMatrix(1, 1, [[x]]) for x in (1, 1, 4)])
+        target = trivial_module(c3)
+        assert validate_module(source) == [] and validate_module(target) == []
+        f = ModuleMap(source, target, IntMatrix.identity(1))
+        assert f.validate() == full_map_validate(f) == [
+            "map does not send source relations into target relations",
+            "map does not commute with the action of element 2",
+        ]
+
+    def test_constructed_modules_are_valid(self):
+        from conftest import random_lattice_with_relations, random_module
+
+        rng = random.Random(1205)
+        for group in self.groups():
+            subgroups = {frozenset(group.power(g, k) for k in range(group.element_order(g))) for g in range(group.order)}
+            induced = [induced_module(group, sorted(h)) for h in sorted(subgroups, key=sorted)]
+            lattice = random_lattice_with_relations(group, rng)
+            assert validate_module(lattice) == []
+            built = induced + [zero_module(group), direct_sum_many(induced + [zero_module(group)])]
+            built += [lattice_form(lattice)[0], dual_lattice(lattice), dual_lattice(induced[-1])]
+            for m in built:
+                assert m._violations == ()
+                assert full_validate_module(m) == []
+            # a module no check has seen passes its state on to nothing
+            unseen = random_module(group, rng, allow_torsion=False)
+            assert unseen._violations is None
+            assert direct_sum_many([induced[0], unseen])._violations is None
+            assert lattice_form(random_lattice_with_relations(group, rng))[0]._violations is None
+            assert dual_lattice(unseen)._violations is None

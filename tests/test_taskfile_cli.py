@@ -12,7 +12,7 @@ from upic import cohomology
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main, run_tasks
 from upic.cohomology import DEGREE_LIMIT
 from upic.errors import TaskFileError, ValidationError
-from upic.modules import PresentedModule
+from upic.modules import PresentedModule, validate_module
 from upic.taskfile import OPS, parse_task_text
 
 
@@ -131,9 +131,14 @@ class TestBuilding:
         built = parse_task_text(json.dumps(doc)).build()
         records = run_tasks(built, oracle=False)
         assert [r["result"] for r in records] == ["Z/2", "Z/2"]
-        n = built.group.order
-        # validate_module(target): the identity and the n*n products; ModuleMap.validate: one per element
-        assert sum(1 for m in calls if m is built.maps["res"].target) == 1 + n * n + n
+        n, k = built.group.order, len(built.group.generators())
+        target = built.maps["res"].target
+        # validate_module(target): the identity and the k*n generator products;
+        # ModuleMap.validate: one per generator
+        assert sum(1 for m in calls if m is target) == 1 + k * n + k
+        before = len(calls)
+        assert validate_module(target) == [] and built.maps["res"].validate() == []
+        assert len(calls) == before
 
 class TestCLI:
     def run_cli(self, capsys, *argv):
