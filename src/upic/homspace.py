@@ -63,8 +63,7 @@ class HomSpaceData:
             problems.append("modules must live over the declared group")
         if not xg.torsion_free():
             problems.append("the character lattice of the acting group must be torsion free")
-        # equal, not only identical: callers build equal modules separately
-        if not (res.source is xg or res.source == xg) or not (res.target is xh or res.target == xh):
+        if not res._connects(xg, xh):
             problems.append("restriction map does not connect the two modules")
         problems.extend(f"acting-group lattice: {v}" for v in validate_module(xg))
         problems.extend(f"stabilizer characters: {v}" for v in validate_module(xh))
@@ -129,17 +128,12 @@ class DualReport:
         return f"H0={self.h0.render()}, H-1={self.hminus1.render()}"
 
 
-def dual_hom_map(data: HomSpaceData) -> IntMatrix:
-    """Matrix of Hom(stabilizer characters, Z) -> Hom(acting lattice, Z).
+def _dual_hom_map(data: HomSpaceData):
+    """Matrix of Hom(stabilizer characters, Z) -> Hom(acting lattice, Z), and the Smith diagonal it is read from.
 
     Hom(xh, Z) is spanned by the rows of u at the zero entries of the Smith
     form u * relations * v == d of the stabilizer characters.
     """
-    return _dual_hom_map_and_diagonal(data)[0]
-
-
-def _dual_hom_map_and_diagonal(data: HomSpaceData):
-    """`dual_hom_map` and the Smith diagonal of the stabilizer relations it was read from."""
     s = smith_normal_form(data.xh.relations)
     diag = s.diagonal()
     rows = [row for row, d in zip(s.u.data, diag) if d == 0]
@@ -162,7 +156,7 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     h0 = cohomology_invariants(dual, 0)
     hminus1 = cohomology_invariants(dual, -1)
 
-    dmap, xh_diag = _dual_hom_map_and_diagonal(data)
+    dmap, xh_diag = _dual_hom_map(data)
     kernel = kernel_basis(dmap)
     kernel_inv = AbelianInvariants(kernel.cols)
     coker_inv = cokernel_invariants(dmap)
@@ -250,17 +244,22 @@ class TorusComparisonData:
         self.rho = rho
         self.down = down
         self.up = up
+        modules = {"xg_prime": xg_prime, "xm": xm, "xt": xt, "xt_prime": xt_prime, "xtsc": xtsc}
         problems = []
-        for name, mod in [("xg_prime", xg_prime), ("xm", xm), ("xt", xt), ("xt_prime", xt_prime), ("xtsc", xtsc)]:
+        if any(mod.group != group for mod in modules.values()):
+            problems.append("modules must live over the declared group")
+        for name, mod in modules.items():
             problems.extend(f"{name}: {v}" for v in validate_module(mod))
-        for name, f in [
-            ("res_gm", res_gm),
-            ("mu_m", mu_m),
-            ("mu_sc", mu_sc),
-            ("rho", rho),
-            ("down", down),
-            ("up", up),
+        for name, f, source, target in [
+            ("res_gm", res_gm, "xg_prime", "xm"),
+            ("mu_m", mu_m, "xt_prime", "xm"),
+            ("mu_sc", mu_sc, "xt_prime", "xtsc"),
+            ("rho", rho, "xt", "xtsc"),
+            ("down", down, "xg_prime", "xt_prime"),
+            ("up", up, "xt", "xt_prime"),
         ]:
+            if not f._connects(modules[source], modules[target]):
+                problems.append(f"{name} does not map {source} to {target}")
             problems.extend(f"{name}: {v}" for v in f.validate())
         if problems:
             raise ValidationError(problems)

@@ -11,9 +11,9 @@ constructors here whose output is valid by construction set `()`:
 `induced_module` and `zero_module` (a group table is validated when the
 group is built), `direct_sum_many` when every summand carries `()`, and
 `lattice_form` and `dual_lattice` when their input does; so does the
-kernel-lattice module of `complexes.resolve_torsion_free`.  The public
-`PresentedModule(...)` constructor never sets it, so every module a caller
-builds is checked.
+kernel-lattice module of `complexes.resolve_torsion_free` over a valid,
+relation-free module.  The public `PresentedModule(...)` constructor never
+sets it, so every module a caller builds is checked.
 
 A group acts through a generating set, so validity is checked there when
 it can be (see `FiniteGroup.generators`).  With the identity acting
@@ -319,6 +319,10 @@ class ModuleMap:
     @classmethod
     def identity(cls, m: PresentedModule) -> "ModuleMap":
         return cls(m, m, IntMatrix.identity(m.gens))
+
+    def _connects(self, source: PresentedModule, target: PresentedModule) -> bool:
+        # equal, not only identical: callers build equal modules separately
+        return (self.source is source or self.source == source) and (self.target is target or self.target == target)
 
     def validate(self) -> list:
         """All violated map invariants, as strings (empty means valid).

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from upic.groups import FiniteGroup
-from upic.intmatrix import IntMatrix
+from upic.intmatrix import IntMatrix, cycle_lattice, subquotient_invariants
 from upic.modules import (
     ModuleMap,
     PresentedModule,
@@ -239,6 +239,19 @@ def full_map_validate(f: ModuleMap) -> list:
         if not f.target.matrix_congruent(lhs, rhs):
             out.append(f"map does not commute with the action of element {g}")
     return out
+
+
+# Frozen reference: acyclicity decided by the invariants of every H^i, as it
+# was before the one membership test.
+def invariant_acyclic(c) -> bool:
+    """Whether every H^i(c) has trivial invariants, from its cycles and boundaries; frozen."""
+    for i in c.degrees():
+        if c.term(i).gens:
+            cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
+            boundaries = c.differential(i - 1).matrix.hstack(c.term(i).relations)
+            if not subquotient_invariants(cycles, boundaries).is_trivial:
+                return False
+    return True
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ from upic.complexes import (
     _kernel_lattice_module,
     ComplexMap,
     TwoTermSES,
-    all_cohomology,
     cohomology,
     cohomology_invariants,
     collapse,
@@ -149,6 +148,81 @@ class TestQuasiIso:
         assert not ok
 
 
+def seeded_complexes_and_maps(rng, trials=15):
+    """Seeded complexes over C2, C3, C4, S3 and V4, and valid chain maps between them.
+
+    For seeded f: A -> B and g: B -> C: the complexes [A -f-> B],
+    [A -f-> B -> B/f(A)] and [A -gf-> C]; the identity and zero maps of the
+    first two, the chain map (1, g) from the first to the third, and the
+    torsion-free resolution of the first two.
+    """
+    from conftest import random_equivariant_map, random_module
+
+    groups = [FiniteGroup.cyclic(n) for n in (2, 3, 4)] + [FiniteGroup.symmetric(3), FiniteGroup.klein_four()]
+    complexes, maps = [], []
+    for trial in range(trials):
+        group = groups[trial % len(groups)]
+        a, b, c = (random_module(group, rng, max_rank=2) for _ in range(3))
+        f = random_equivariant_map(a, b, rng)
+        g = random_equivariant_map(b, c, rng)
+        quotient = add_relations(b, f.matrix)
+        k = two_term(f)
+        k3 = BoundedComplex(group, 0, [a, b, quotient], [f, ModuleMap(b, quotient, IntMatrix.identity(b.gens))])
+        kg = two_term(g.compose(f))
+        complexes += [k, k3, kg]
+        maps += [ComplexMap.identity(k), ComplexMap.zero(k, k), ComplexMap.identity(k3), ComplexMap.zero(k3, k3)]
+        maps += [ComplexMap(k, kg, {0: ModuleMap.identity(a), 1: g}), resolve_torsion_free(k), resolve_torsion_free(k3)]
+    return complexes, maps
+
+
+class TestAcyclicity:
+    """The membership test agrees with the invariants of every H^i, and cones need no check."""
+
+    def test_verdicts_match_invariants(self, rng):
+        from conftest import invariant_acyclic
+
+        complexes, maps = seeded_complexes_and_maps(rng)
+        for k in (two_term(times(2)), two_term(times(0)), two_term(times(-1))):  # torsion, free, none
+            complexes.append(k)
+            maps += [ComplexMap.identity(k), ComplexMap.zero(k, k), resolve_torsion_free(k)]
+        seen = set()
+        for c in complexes + [cone(phi) for phi in maps]:
+            expected = invariant_acyclic(c)
+            assert is_acyclic(c) == expected
+            seen.add(expected)
+        for phi in maps:
+            cn = cone(phi)
+            ok, report = is_quasi_iso(phi)
+            assert ok == invariant_acyclic(cn)
+            invariants = {i: cohomology_invariants(cn, i) for i in cn.degrees()}
+            assert report == {i: inv for i, inv in invariants.items() if not inv.is_trivial}
+            seen.add(("quasi-iso", ok))
+        assert seen == {True, False, ("quasi-iso", True), ("quasi-iso", False)}
+        assert not is_acyclic(two_term(times(2))) and not is_acyclic(two_term(times(0)))
+        assert is_acyclic(two_term(times(-1)))
+
+    def test_resolution_cones_are_acyclic_without_a_smith_form(self, rng, monkeypatch):
+        from conftest import invariant_acyclic
+        from upic._backend import kernels
+
+        complexes, _ = seeded_complexes_and_maps(rng)
+        psis = [resolve_torsion_free(c) for c in complexes + [two_term(times(2))]]
+        assert all(invariant_acyclic(cone(psi)) for psi in psis)
+        calls = []
+        snf = kernels.snf
+        monkeypatch.setattr(kernels, "snf", lambda *args: calls.append(args) or snf(*args))
+        for psi in psis:
+            assert is_acyclic(cone(psi))
+            assert is_quasi_iso(psi) == (True, {})
+        assert calls == []
+
+    def test_cones_and_fibres_of_valid_maps_are_valid(self, rng):
+        _, maps = seeded_complexes_and_maps(rng)
+        for phi in maps:
+            assert cone(phi).validate() == []
+            assert fibre(phi).validate() == []
+
+
 def identity_ses():
     """0 -> [0 -> Z> -> [Z -> Z> -> [Z -> 0> -> 0 with the identity middle."""
     z = trivial_module(T)
@@ -211,7 +285,7 @@ class TestResolve:
         y = two_term(times(2))
         psi = resolve_torsion_free(y)
         assert all(t.torsion_free() for t in psi.source.terms)
-        assert all_cohomology(psi.source.trim())[1] == AbelianInvariants(0, [2])
+        assert cohomology_invariants(psi.source.trim(), 1) == AbelianInvariants(0, [2])
 
     def test_zero_complex(self):
         psi = resolve_torsion_free(zero_complex(T))

@@ -11,8 +11,8 @@ from upic.homspace import (
     PIC_CAVEAT,
     HomSpaceData,
     TorusComparisonData,
+    _dual_hom_map,
     brauer_a,
-    dual_hom_map,
     pic,
     topological_report,
     upic_complex,
@@ -220,7 +220,7 @@ def _free_smith_coordinates(m):
 
 
 def _dual_hom_map_reference(data):
-    """dual_hom_map entry by entry: each Hom(xh, Z) row applied to each column of res * from_g."""
+    """_dual_hom_map's matrix entry by entry: each Hom(xh, Z) row applied to each column of res * from_g."""
     s_h, free_h = _free_smith_coordinates(data.xh)
     s_g, free_g = _free_smith_coordinates(data.xg)
     u_inv = unimodular_inverse(s_g.u)
@@ -250,7 +250,7 @@ class TestDualPipeline:
             cases.append(HomSpaceData(group, xg, xh, random_equivariant_map(xg, xh, rng)))
         assert fixture_cases >= 9
         for data in cases:
-            assert dual_hom_map(data) == _dual_hom_map_reference(data)
+            assert _dual_hom_map(data)[0] == _dual_hom_map_reference(data)
 
     def test_stabilizer_torsion_read_off_the_dual_map_smith_form(self):
         """The report's stabilizer torsion is the torsion of the stabilizer character group."""
@@ -373,3 +373,20 @@ class TestTorusComparison:
         assert not rep.verdict
         assert rep.cohomology["bottom"][1] == AbelianInvariants(0, [3])
         assert rep.square_failures
+
+    def test_maps_must_connect_the_named_lattices(self):
+        """Each of the six maps must run between the lattices the diagram names, over the declared group."""
+        a, b = trivial_module(T), trivial_module(T, 2)
+        names = ("res_gm", "mu_m", "mu_sc", "rho", "down", "up")
+        lattices = dict(xg_prime=a, xm=a, xt=a, xt_prime=a, xtsc=a)
+        TorusComparisonData(T, **lattices, **{n: ModuleMap.identity(a) for n in names})
+        for name in names:
+            for off in (ModuleMap.zero(b, a), ModuleMap.zero(a, b)):
+                maps = {n: ModuleMap.identity(a) for n in names}
+                maps[name] = off
+                with pytest.raises(ValidationError, match=f"{name} does not map"):
+                    TorusComparisonData(T, **lattices, **maps)
+        c2 = FiniteGroup.cyclic(2)
+        z = trivial_module(c2)
+        with pytest.raises(ValidationError, match="declared group"):
+            TorusComparisonData(T, **{k: z for k in lattices}, **{n: ModuleMap.identity(z) for n in names})

@@ -271,6 +271,18 @@ class TestCLI:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_comparison_maps_off_their_lattices_exit_3(self, capsys, tmp_path):
+        """mu_m and mu_sc with different sources are a validation error, not a crash in verification."""
+        doc = fixture_doc("sl2_pgl2_comparison")
+        doc["modules"]["B"] = {"gens": 2, "action": [[[1, 0], [0, 1]]]}
+        doc["maps"]["mu_sc"] = {"source": "B", "target": "XTsc", "matrix": [[1, 0]]}
+        p = tmp_path / "comparison.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p))
+        assert code == 3
+        assert "mu_sc does not map xt_prime to xtsc" in err
+        assert out == "" and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "raw",
         [
@@ -501,20 +513,44 @@ def task_documents(draw):
         matrix = _matrix(draw, rb, ra)
     else:
         matrix = [[0] * ra for _ in range(rb)]
-    tasks = []
-    for op in draw(st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=2)):
-        task = {"op": op, "data": "D", "module": draw(st.sampled_from(["A", "B"]))}
-        if op in ("group_cohomology", "hypercohomology"):
-            task["degree"] = draw(st.integers(0, DEGREE_LIMIT + 1))
-        tasks.append(task)
+    maps = {"AB": {"source": "A", "target": "B", "matrix": matrix}}
     doc = {
         "format": "upic-task-v1",
         "group": group,
         "modules": modules,
-        "maps": {"res": {"source": "A", "target": "B", "matrix": matrix}},
-        "homspace": {"D": {"xg": "A", "xh": "B", "res": "res"}},
-        "tasks": tasks,
+        "maps": maps,
+        "homspace": {"D": {"xg": "A", "xh": "B", "res": "AB"}},
+        "tasks": [],
     }
+    ops = draw(st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=2))
+    for op in ops:
+        task = {"op": op, "data": "D", "module": draw(st.sampled_from(["A", "B"]))}
+        if op in ("group_cohomology", "hypercohomology"):
+            task["degree"] = draw(st.integers(0, DEGREE_LIMIT + 1))
+        doc["tasks"].append(task)
+    if "verify_torus_comparison" in ops:
+        # A comparison over lattices drawn among A and B; its maps connect
+        # them, except at most one drawn among the other named maps, so that
+        # a mismatch occurs without stopping most documents at build.
+        maps["AA"] = {"source": "A", "target": "A", "matrix": [[int(i == j) for j in range(ra)] for i in range(ra)]}
+        maps["BA"] = {"source": "B", "target": "A", "matrix": [[0] * rb for _ in range(ra)]}
+        maps["BB"] = {"source": "B", "target": "B", "matrix": [[int(i == j) for j in range(rb)] for i in range(rb)]}
+        comparison = {key: draw(st.sampled_from(["A", "B"])) for key in ("xg_prime", "xm", "xt", "xt_prime", "xtsc")}
+        arrows = {
+            "res_gm": ("xg_prime", "xm"),
+            "mu_m": ("xt_prime", "xm"),
+            "mu_sc": ("xt_prime", "xtsc"),
+            "rho": ("xt", "xtsc"),
+            "down": ("xg_prime", "xt_prime"),
+            "up": ("xt", "xt_prime"),
+        }
+        for key, (source, target) in arrows.items():
+            comparison[key] = comparison[source] + comparison[target]
+        mismatched = draw(st.sampled_from([None, *arrows]))
+        if mismatched is not None:
+            others = sorted(set(maps) - {comparison[mismatched]})
+            comparison[mismatched] = draw(st.sampled_from(others))
+        doc["comparisons"] = {"D": comparison}
     if generators is not None:
         doc["generators"] = generators
     if draw(st.booleans()):
