@@ -3,9 +3,9 @@
 The public layers, bottom up: exact integer linear algebra (`intmatrix`),
 finite groups and presented modules (`groups`, `modules`), bounded
 complexes with cones, resolutions, and duals (`complexes`), group and
-hypercohomology with independent oracles (`cohomology`), and the
-invariant pipelines (`homspace`).  The `upic` command drives everything
-from declarative task files.
+hypercohomology over free resolutions with independent oracles
+(`cohomology`, `resolutions`), and the invariant pipelines (`homspace`).
+The `upic` command drives everything from declarative task files.
 """
 
 __version__ = "0.1.0"

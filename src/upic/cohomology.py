@@ -6,13 +6,15 @@ for each free generator of F_p, its boundary as a Z[G]-combination
 and block (i, j) of the coboundary is the sum of c * rho(g) over the
 terms of the boundary of generator i (`hom_differential`).
 
-`SmallResolution` is the default.  It starts from F_0 = Z[G] with the
-augmentation and takes each F_p from the kernel below it, with few
-generators; it is built only as far as a degree needs (H^n of a complex
-starting in degree q0 needs F_0..F_(n+1-q0)), certified exact once as it
-grows, and kept on the group.  `BarResolution` is the normalized bar
+The default resolution is built only as far as a degree needs (H^n of a
+complex starting in degree q0 needs F_0..F_(n+1-q0)), certified exact once
+as it grows, and kept on the group.  A nontrivial abelian group gets
+`resolutions.AbelianResolution`: periodic per cyclic factor, their tensor
+product, certified by a contracting homotopy.  Any other group gets the
+greedy `SmallResolution`: each F_p from the kernel below it, certified by
+d d = 0 and image = kernel.  `BarResolution` is the normalized bar
 resolution, r_p = (|G|-1)^p; its coboundary is the inhomogeneous one,
-`cochain_differential`, and tests check the small resolution against it.
+`cochain_differential`, and tests check both routes against it.
 
 For a bounded complex of coefficients the total complex carries
 D = (-1)^q delta + d_coefficient on the (p, q) summand, so for a two-term
@@ -24,8 +26,9 @@ placed in degree 0.
 Three limits stop large inputs before the work: DEGREE_LIMIT bounds the
 degree HyperTotal is asked for, COCHAIN_RANK_LIMIT the rank of the cochains
 it assembles, RESOLUTION_BUILD_LIMIT the lattice whose kernel each new F_p
-is taken from; ENUMERATION_LIMIT bounds the enumeration oracle.  The
-differentials are sparse columns and reach `cycle_lattice` in that form.
+of the greedy route is taken from; ENUMERATION_LIMIT bounds the
+enumeration oracle.  The differentials are sparse columns and reach
+`cycle_lattice` in that form.
 """
 
 from __future__ import annotations
@@ -49,11 +52,12 @@ from .intmatrix import (
     unimodular_inverse,
 )
 from .modules import PresentedModule
+from .resolutions import AbelianResolution, z_boundary
 
 # Largest degree HyperTotal computes.  Pic and Br_a need H^1 and H^2, and 4
-# keeps H^4(C2, Z) and the C2^5 build-limit refusal in reach.  The other
-# limits grow with the ranks, and a cyclic group's resolution has rank 1 in
-# every degree, so only this one stops a degree of 10^9.
+# keeps H^4(C2, Z) in reach.  The other limits grow with the ranks, and a
+# cyclic group's resolution has rank 1 in every degree, so only this one
+# stops a degree of 10^9; it alone bounds the abelian route (C2^5: r_5 = 126).
 DEGREE_LIMIT = 4
 # Largest module, counted in elements, and largest cochain space, counted in
 # points, the enumeration oracle searches.
@@ -62,11 +66,12 @@ ENUMERATION_LIMIT = 1 << 20
 # H^n.  Over the bar resolution brauer_a on J_G needs (|G|-1)^4 and is
 # refused from order 16; over the small resolution it stays in the thousands.
 COCHAIN_RANK_LIMIT = 1 << 15
-# Largest Z-rank r_(p-1)*|G| of F_(p-1) whose kernel is taken to build F_p.
-# On pure Python every kernel step up to this size took at most 6 s
-# (C2^2 x A4 to F_4: 1104); C2^5 to F_4 (1440) took 11 s, C2^4 x C3 to F_4
-# (1968) 22 s and 130 MB.  F_3, all that brauer_a needs, stays under 800
-# for the groups of order up to ORDER_CAP that were tried.
+# Largest Z-rank r_(p-1)*|G| of F_(p-1) whose kernel the greedy route takes
+# to build F_p (abelian groups, C2^5 among them, take no kernel step).  On
+# pure Python every step up to this size took at most 6 s (C2^2 x A4 to
+# F_4: 1104); C2^5 to F_4 (1440) took 11 s, C2^4 x C3 to F_4 (1968) 22 s
+# and 130 MB.  F_3, all that brauer_a needs, stays under 800 for the
+# groups of order up to ORDER_CAP that were tried.
 RESOLUTION_BUILD_LIMIT = 24 * ORDER_CAP
 
 
@@ -118,17 +123,6 @@ class BarResolution:
         return out
 
 
-def _z_boundary(group: FiniteGroup, gens: list, rows: int) -> SparseCols:
-    """d_p on the Z-bases {g e_j}: column i*|G| + h is h times the boundary of generator i."""
-    n = group.order
-    out = SparseCols(rows, len(gens) * n)
-    for i, bd in enumerate(gens):
-        for h in range(n):
-            row_h = group.table[h]
-            out.entries[i * n + h] = {j * n + row_h[g]: c for (j, g), c in bd.items()}
-    return out
-
-
 def _choose_generators(group: FiniteGroup, kernel: list, rows: int) -> list:
     """Z[G]-generators of a kernel lattice, given by its Hermite basis.
 
@@ -143,7 +137,7 @@ def _choose_generators(group: FiniteGroup, kernel: list, rows: int) -> list:
     for k in sorted(range(len(kernel)), key=lambda k: (len(kernel[k]), -k)):
         if not span.contains(kernel[k]):
             gens.append({divmod(r, n): c for r, c in kernel[k].items()})
-            for col in _z_boundary(group, gens[-1:], rows).entries:
+            for col in z_boundary(group, gens[-1:], rows).entries:
                 span.add(col)
     return gens
 
@@ -196,29 +190,32 @@ class SmallResolution:
                 basis = cycle_lattice(d_below, IntMatrix.zeros(d_below.rows, 0)).columns()
                 kernel = [{r: x for r, x in enumerate(col) if x} for col in basis]
                 gens = _choose_generators(self.group, kernel, d_below.cols)
-                d_at = _z_boundary(self.group, gens, d_below.cols)
+                d_at = z_boundary(self.group, gens, d_below.cols)
                 _certify(p, d_below, d_at, kernel)
                 self.boundaries.append(gens)
                 self._d_top = d_at
 
 
-def small_resolution(group: FiniteGroup) -> SmallResolution:
-    """The group's small resolution, kept on the group and extended as degrees are asked.
+def small_resolution(group: FiniteGroup) -> AbelianResolution | SmallResolution:
+    """The group's default resolution, kept on the group and extended as degrees are asked.
 
     The resolution is built on a twin of the group that holds no resolution,
     so the two form no reference cycle and are freed together, by reference
     counting, as soon as the group is dropped.
     """
     if group._resolution is None:
+        route = AbelianResolution if group.order > 1 and group.is_abelian() else SmallResolution
         twin = object.__new__(FiniteGroup)
         for slot in FiniteGroup.__slots__:
             setattr(twin, slot, getattr(group, slot))
         twin._resolution = None
-        group._resolution = SmallResolution(twin)
+        group._resolution = route(twin)
     return group._resolution
 
 
-def hom_differential(resolution: BarResolution | SmallResolution, m: PresentedModule, p: int) -> SparseCols:
+def hom_differential(
+    resolution: BarResolution | SmallResolution | AbelianResolution, m: PresentedModule, p: int
+) -> SparseCols:
     """The coboundary Hom_G(F_p, M) = M^(r_p) -> Hom_G(F_(p+1), M) as a sparse matrix.
 
     Block (i, j) is the sum of c * rho(g) over the terms c g e_j of the
@@ -260,7 +257,7 @@ class HyperTotal:
         group: FiniteGroup,
         coeffs: BoundedComplex,
         degree: int,
-        resolution: BarResolution | SmallResolution | None = None,
+        resolution: BarResolution | SmallResolution | AbelianResolution | None = None,
     ):
         if degree > DEGREE_LIMIT:
             raise BudgetExceeded(f"degree {degree} is over the limit {DEGREE_LIMIT}")

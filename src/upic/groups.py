@@ -209,6 +209,11 @@ class FiniteGroup:
             self._generators = tuple(gens)
         return self._generators
 
+    def is_abelian(self) -> bool:
+        """Whether the generators commute, and with them every pair of elements."""
+        gens = self.generators()
+        return all(self.table[s][t] == self.table[t][s] for s in gens for t in gens)
+
     def is_subgroup(self, elems) -> bool:
         s = set(elems)
         if not s or any(not (0 <= x < self.order) for x in s):

@@ -367,7 +367,8 @@ class AbelianInvariants:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion=()):
-        torsion = tuple(int(t) for t in torsion)
+        # from a list: a tuple grown from a generator bypasses the tuple free list, which it fills when freed
+        torsion = tuple([int(t) for t in torsion])
         if free_rank < 0:
             raise ValueError("negative free rank")
         for t in torsion:

@@ -268,7 +268,11 @@ def direct_sum(a: PresentedModule, b: PresentedModule) -> PresentedModule:
 
 
 def direct_sum_many(mods) -> PresentedModule:
-    """One block-diagonal relation matrix and one block-diagonal action per element."""
+    """One block-diagonal relation matrix and one block-diagonal action per element.
+
+    Summands without generators or relation columns add nothing, so when at
+    most one summand has either, that summand is the sum.
+    """
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum needs an explicit group")
@@ -277,6 +281,9 @@ def direct_sum_many(mods) -> PresentedModule:
     group = mods[0].group
     if any(m.group is not group and m.group != group for m in mods[1:]):
         raise ValidationError(["direct sum of modules over different groups"])
+    nonzero = [m for m in mods if m.gens or m.relations.cols]
+    if len(nonzero) <= 1:
+        return nonzero[0] if nonzero else mods[0]
     out = PresentedModule(
         group,
         sum(m.gens for m in mods),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 
 import pytest
 
@@ -12,15 +13,17 @@ from upic.cohomology import (
     RESOLUTION_BUILD_LIMIT,
     BarResolution,
     HyperTotal,
+    SmallResolution,
     cochain_differential,
     cyclic_oracle,
     finite_coeff_bruteforce,
     group_cohomology,
     hypercohomology,
+    small_resolution,
 )
 from upic.complexes import one_term, two_term, zero_complex
 from upic.errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
-from upic.groups import FiniteGroup
+from upic.groups import ORDER_CAP, FiniteGroup
 from upic.intmatrix import AbelianInvariants, IntMatrix, smith_normal_form, unimodular_inverse
 from upic.modules import (
     ModuleMap,
@@ -31,6 +34,7 @@ from upic.modules import (
     regular_module,
     trivial_module,
 )
+from upic.resolutions import AbelianResolution
 
 T = FiniteGroup.trivial()
 C2 = FiniteGroup.cyclic(2)
@@ -504,7 +508,7 @@ class TestHyper:
         g = elementary_abelian(5)
         assert 70 * g.order > RESOLUTION_BUILD_LIMIT
         with pytest.raises(BudgetExceeded, match=f"over the limit {RESOLUTION_BUILD_LIMIT}"):
-            group_cohomology(g, trivial_module(g), 4)
+            HyperTotal(g, one_term(trivial_module(g), 0), 4, resolution=SmallResolution(g))
         assert kernel_ranks and max(kernel_ranks) <= RESOLUTION_BUILD_LIMIT
 
     def test_square_zero_check_runs(self):
@@ -690,7 +694,7 @@ class TestResolutions:
         monkeypatch.setattr(cohomology, "_choose_generators", tampered)
         g = FiniteGroup.cyclic(4)
         with pytest.raises(ExactnessViolation, match=message):
-            group_cohomology(g, trivial_module(g), 2)
+            HyperTotal(g, one_term(trivial_module(g), 0), 2, resolution=SmallResolution(g))
 
     def test_group_and_resolution_form_no_cycle(self):
         # the resolution kept on a group must not refer back to it, or every
@@ -744,3 +748,180 @@ class TestResolutions:
         assert not any(t.is_alive() for t in threads) and not errors
         assert len(results) == 8 and all(value == want[d] for d, value in results)
         assert g._resolution.boundaries == reference.boundaries
+
+
+def _invariant_chains(n, least=1):
+    """Every chain n_1 | n_2 | ... | n_k of factors >= 2, each a multiple of `least`, with product n."""
+    if n == 1:
+        yield ()
+    for a in range(2, n + 1):
+        if n % a == 0 and a % least == 0:
+            for rest in _invariant_chains(n // a, a):
+                yield (a,) + rest
+
+
+def _primary_product(chain):
+    """The abelian group with these invariant factors, as a product of cyclic groups of prime-power order."""
+    g = T
+    for a in chain:
+        p = 2
+        while a > 1:
+            q = 1
+            while a % p == 0:
+                a, q = a // p, q * p
+            if q > 1:
+                g = g.direct_product(FiniteGroup.cyclic(q))
+            p += 1
+    return g
+
+
+# the abelian groups the tests use, by invariant factors, plus C3xC6 and C4xC4
+ABELIAN_CHAINS = {
+    **{name: (g.order,) for name, g in AGREEMENT_GROUPS.items() if g.order > 1 and g.cyclic_generator() is not None},
+    **{"K4": (2, 2), "C2xC4": (2, 4), "C2^3": (2, 2, 2), "C2xC6": (2, 6), "C2^4": (2, 2, 2, 2)},
+    **{"C14": (14,), "C40": (40,), "C48": (48,), "C3xC6": (3, 6), "C4xC4": (4, 4)},
+}
+
+
+class TestAbelianResolution:
+    @pytest.mark.parametrize("name", list(ABELIAN_CHAINS))
+    def test_agrees_with_greedy_and_bar(self, name):
+        # test_bar_and_small_agree compares the groups of AGREEMENT_GROUPS with the bar route
+        g = _primary_product(ABELIAN_CHAINS[name])
+        assert isinstance(small_resolution(g), AbelianResolution)
+        greedy = SmallResolution(g)
+        for label, m in _coefficients(g).items():
+            limit = 0 if name in AGREEMENT_GROUPS else BAR_TEST_RANK["torsion" if m.relations.cols else "free"]
+            for degree in range(4):
+                value = group_cohomology(g, m, degree)
+                assert value == HyperTotal(g, one_term(m, 0), degree, resolution=greedy).cohomology(), (label, degree)
+                if m.gens * (g.order - 1) ** (degree + 1) <= limit:
+                    assert value == _bar_route(g, one_term(m, 0), degree), (label, degree)
+
+    @pytest.mark.parametrize("chain", [(2,), (48,), (2, 4), (3, 6), (4, 12), (2, 2, 2, 6), (2,) * 5])
+    def test_ranks(self, chain):
+        res = small_resolution(_primary_product(chain))
+        k = len(chain)
+        assert res.orders == list(chain)
+        for p in range(1, DEGREE_LIMIT + 2):
+            assert len(res.boundary(p)) == res.rank(p) == math.comb(p + k - 1, k - 1)
+
+    def test_h3_is_the_schur_multiplier(self):
+        # H^3(G, Z) = M(G) = (+)_(i<j) Z/gcd(n_i, n_j) for invariant factors
+        # n_1 | ... | n_k, so n_i once for each j > i; every abelian group of
+        # order 2 to 48, C2^5 and C2^4 x C3 among them
+        seen = 0
+        for n in range(2, ORDER_CAP + 1):
+            for chain in _invariant_chains(n):
+                g = _primary_product(chain)
+                schur = [a for i, a in enumerate(chain) for _ in range(len(chain) - 1 - i)]
+                assert small_resolution(g).orders == list(chain)
+                assert group_cohomology(g, trivial_module(g), 3) == AbelianInvariants(0, schur), chain
+                seen += 1
+        assert seen == 81
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("kind, message", [("doubled", None), ("stray term", "do not compose to zero")])
+    def test_changed_boundary_coefficient(self, monkeypatch, level, kind, message):
+        # one coefficient of the last generator's boundary doubled, or the
+        # first generator below added to it, which breaks d d = 0
+        real = AbelianResolution._generators
+
+        def tampered(self, p, element):
+            gens = real(self, p, element)
+            if p == level:
+                last = gens[-1]
+                if kind == "doubled":
+                    key = next(iter(last))
+                    last[key] *= 2
+                else:
+                    key = (0, self.group.identity)
+                    last[key] = last.get(key, 0) + 1
+            return gens
+
+        monkeypatch.setattr(AbelianResolution, "_generators", tampered)
+        with pytest.raises(ExactnessViolation, match=message):
+            AbelianResolution(_primary_product((2, 4))).boundary(3)
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1, 2])
+    def test_dropped_homotopy_entry(self, monkeypatch, degree):
+        real = AbelianResolution._homotopy
+
+        def tampered(self, p, element):
+            h = real(self, p, element)
+            if p == degree:
+                col = next(col for col in reversed(h.entries) if col)
+                del col[next(iter(col))]
+            return h
+
+        monkeypatch.setattr(AbelianResolution, "_homotopy", tampered)
+        with pytest.raises(ExactnessViolation, match=f"contracting homotopy fails on F_{max(degree, 0)}"):
+            AbelianResolution(_primary_product((2, 4))).boundary(3)
+
+    def test_permuted_factor_coordinate(self):
+        # values 1 and 2 of the C4 coordinate swapped: still a bijection onto
+        # Z/2 x Z/4, but not a homomorphism
+        res = AbelianResolution(_primary_product((2, 4)))
+        res.coords = [a[:1] + ({1: 2, 2: 1}.get(a[1], a[1]),) for a in res.coords]
+        with pytest.raises(ExactnessViolation, match="contracting homotopy"):
+            res.boundary(3)
+
+    def test_group_and_resolution_form_no_cycle(self):
+        import gc
+
+        def work():
+            g = _primary_product((2, 4))
+            group_cohomology(g, norm_one_lattice_of(g), 2)
+            assert isinstance(g._resolution, AbelianResolution)
+
+        work()
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_concurrent_extension(self):
+        # each level appended once, and every thread sees the same values
+        import sys
+        import threading
+
+        alone = _primary_product((2, 2, 2))
+        want = {d: group_cohomology(alone, trivial_module(alone), d) for d in (1, 2, 3, 4)}
+        g = _primary_product((2, 2, 2))
+        results, errors = [], []
+
+        def work(degree):
+            try:
+                results.append((degree, group_cohomology(g, trivial_module(g), degree)))
+            except Exception as e:  # reported through the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(1 + k % 4,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(results) == 8 and all(value == want[d] for d, value in results)
+        assert g._resolution.boundaries == alone._resolution.boundaries
+
+    @pytest.mark.parametrize("chain", [(48,), (2,) * 5, (2, 2, 2, 6), (4, 12), (2, 24)])
+    def test_top_degree_within_budget(self, chain):
+        # H^DEGREE_LIMIT needs F_(DEGREE_LIMIT + 1) and no kernel step; the
+        # value is finite with exponent dividing |G|
+        start = time.perf_counter()
+        g = _primary_product(chain)
+        value = group_cohomology(g, trivial_module(g), DEGREE_LIMIT)
+        elapsed = time.perf_counter() - start
+        assert value.free_rank == 0 and value.torsion and all(g.order % t == 0 for t in value.torsion)
+        assert elapsed < 2.0, f"H^{DEGREE_LIMIT} of {chain} took {elapsed:.2f}s"

@@ -285,9 +285,17 @@ class TestDirectSum:
             zero_module(s3),
             norm_one_lattice_of(s3),
         ]
-        families = [fixed, [random_module(s3, rng) for _ in range(4)], [zero_module(s3)] * 3]
+        # one summand with generators or relation columns, zero summands first, around it and last:
+        # the sum is that summand; a summand without generators but with relation columns counts
+        lone = finite_cyclic_module(s3, 4)
+        zero = zero_module(s3)
+        lonely = [[zero, zero, lone], [zero, lone, zero], [lone, zero, zero]]
+        bare_relations = PresentedModule(s3, 0, IntMatrix.zeros(0, 2), [IntMatrix.zeros(0, 0)] * s3.order)
+        families = [fixed, [random_module(s3, rng) for _ in range(4)], [zero] * 3, *lonely, [zero, bare_relations, lone]]
         for mods in families:
             many = direct_sum_many(mods)
+            if mods in lonely:
+                assert many is lone
             fold = reduce(direct_sum, mods)
             assert many.gens == fold.gens == sum(m.gens for m in mods)
             assert many.relations == fold.relations == _blocks([m.relations for m in mods])

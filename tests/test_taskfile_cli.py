@@ -12,6 +12,7 @@ from upic import cohomology
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main, run_tasks
 from upic.cohomology import DEGREE_LIMIT
 from upic.errors import TaskFileError, ValidationError
+from upic.groups import FiniteGroup
 from upic.modules import PresentedModule, validate_module
 from upic.taskfile import OPS, parse_task_text
 
@@ -331,11 +332,15 @@ class TestCLI:
         code, out, _ = self.run_cli(capsys, "run", str(p), "--oracle", "on")
         assert code == 0
         assert "H^2(Z) = Z/40 | oracle: cyclic oracle agreed" in out
-        # C2^5 H^4(Z) needs F_5, whose kernel step is over the build limit
-        doc["group"] = {"table": [[i ^ j for j in range(32)] for i in range(32)]}
-        doc["generators"] = [1, 2, 4, 8, 16]
-        doc["modules"]["Z"]["action"] = [[[1]]] * 5
-        doc["tasks"][0]["degree"] = 4
+        # S3 x C2^3 H^3(Z) needs F_4 of the greedy resolution, whose kernel step
+        # (rank 40 * 48 = 1920) is over the build limit
+        g = FiniteGroup.symmetric(3)
+        for _ in range(3):
+            g = g.direct_product(FiniteGroup.cyclic(2))
+        doc["group"] = {"table": g.table}
+        doc["generators"] = list(g.generators())
+        doc["modules"]["Z"]["action"] = [[[1]]] * len(doc["generators"])
+        doc["tasks"][0]["degree"] = 3
         p = tmp_path / "big.task"
         p.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = self.run_cli(capsys, "run", str(p))
