@@ -18,7 +18,9 @@ algorithm depends on that ordering.
 `shift`, `trim` and `cone` build their output unchecked: it is valid when
 their input is (see `cone`).  Whether H^i = 0 is one membership test with
 no Smith form (`_cohomology_vanishes`), and `resolve_torsion_free`
-certifies its result once, at the end.
+certifies its result once, at the end.  Its one final step adjoins the
+kernel lattice at the lowest degree when that term is a lattice on a
+basis, else one below.
 """
 
 from __future__ import annotations
@@ -425,10 +427,14 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     Working from the top degree down, generators of H^t of the current
     complex are lifted to cocycles and covered by permutation modules on
     their stabilizer cosets; each cover is attached with a mapping cone.
-    One final step adjoins the kernel lattice in the lowest degree, which
-    is torsion free because it embeds in a permutation module.  The terms
-    of M are the attached modules; its differentials and the components of
-    psi are read off the attaching maps.
+    One final step adjoins the kernel lattice at the lowest degree when
+    that term is a lattice on a basis (no relation columns), else one
+    below.  After the covers H^j = 0 above that degree; the kernel lattice
+    kills H^j there, and it embeds in a relation-free term, so it is torsion
+    free and nothing appears below it.  The terms of M are the attached
+    modules; its differentials and the components of psi are read off the
+    attaching maps.  For [A -> B] with A a lattice, M is the fibre product
+    [A x_B P -> P] of a permutation cover P of B.
 
     The stages are unchecked scaffolding; the result is certified once:
     M and psi are validated, every term of M is torsion free and cone(psi)
@@ -439,12 +445,13 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     if not yt.terms:
         return ComplexMap(zero_complex(group), y, {}, check=False)
     lo, hi = yt.lowest_degree, yt.highest_degree
+    stop = lo if not yt.terms[0].relations.cols else lo - 1
 
     current = y
     m_terms = {}
     m_diff_blocks = {}
     psi_blocks = {}
-    for t in range(hi, lo - 1, -1):
+    for t in range(hi, stop, -1):
         mod = current.term(t)  # M^(t+1) (+) Y^t, the source part first
         pieces, cols = [], []
         for vec in _canonical_class_generators(current, t):
@@ -459,16 +466,17 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
         psi_blocks[t] = IntMatrix(y.term(t).gens, p.gens, attach_matrix.data[k:])
         current = cone(ComplexMap(one_term(p, t), current, {t: ModuleMap(p, mod, attach_matrix)}, check=False))
 
-    # final stage: adjoin the cycle lattice sitting below the support
-    bottom = current.term(lo - 1)  # equals the module attached for degree lo
-    basis = cycle_lattice(current.differential(lo - 1).matrix, current.term(lo).relations)
-    m_terms[lo - 1] = _kernel_lattice_module(bottom, basis) if basis.cols else zero_module(group)
-    m_diff_blocks[lo - 1] = basis
-    psi_blocks[lo - 1] = IntMatrix.zeros(y.term(lo - 1).gens, basis.cols)
+    # final stage: adjoin the cycle lattice at degree stop, split like an attaching matrix
+    bottom = current.term(stop)  # M^(stop+1) (+) Y^stop, the source part first
+    basis = cycle_lattice(current.differential(stop).matrix, current.term(stop + 1).relations)
+    k = bottom.gens - y.term(stop).gens
+    m_terms[stop] = _kernel_lattice_module(bottom, basis) if basis.cols else zero_module(group)
+    m_diff_blocks[stop] = IntMatrix(k, basis.cols, basis.data[:k])
+    psi_blocks[stop] = IntMatrix(y.term(stop).gens, basis.cols, basis.data[k:])
 
-    degrees = range(lo - 1, hi + 1)
+    degrees = range(stop, hi + 1)
     diffs = [ModuleMap(m_terms[t], m_terms[t + 1], m_diff_blocks[t]) for t in degrees[:-1]]
-    m = BoundedComplex(group, lo - 1, [m_terms[t] for t in degrees], diffs)
+    m = BoundedComplex(group, stop, [m_terms[t] for t in degrees], diffs)
     psi = ComplexMap(m, y, {t: ModuleMap(m_terms[t], y.term(t), psi_blocks[t]) for t in degrees})
     if not all(term.torsion_free() for term in m.terms):
         raise ExactnessViolation("resolution produced a term with torsion")

@@ -21,8 +21,9 @@ MODULE_RANK_CAP = 2 * ORDER_CAP
 class FiniteGroup:
     # _resolution holds the group's small free resolution once
     # cohomology.small_resolution has built it; it grows with the degrees asked.
-    # _generators keeps generators() once computed.
-    __slots__ = ("order", "table", "identity", "inverse", "_element_orders", "_generators", "_resolution")
+    # _generators keeps generators() once computed, and _zero_module the one
+    # module on no generators that modules.zero_module hands out.
+    __slots__ = ("order", "table", "identity", "inverse", "_element_orders", "_generators", "_resolution", "_zero_module")
 
     def __init__(self, table):
         table = [list(row) for row in table]
@@ -62,6 +63,7 @@ class FiniteGroup:
         self._element_orders = None
         self._generators = None
         self._resolution = None
+        self._zero_module = None
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":

@@ -12,8 +12,12 @@ constructors here whose output is valid by construction set `()`:
 group is built), `direct_sum_many` when every summand carries `()`, and
 `lattice_form` and `dual_lattice` when their input does; so does the
 kernel-lattice module of `complexes.resolve_torsion_free` over a valid,
-relation-free module.  The public `PresentedModule(...)` constructor never
-sets it, so every module a caller builds is checked.
+relation-free bottom module.  That bottom is the permutation cover
+attached above it plus, when the caller's lowest term is a lattice on a
+basis, that lattice, so it is valid once the caller's lattice has been
+validated.  The public `PresentedModule(...)` constructor never sets it,
+so every module a caller builds is checked.  `zero_module` is one object
+per group, kept on the group.
 
 A group acts through a generating set, so validity is checked there when
 it can be (see `FiniteGroup.generators`).  With the identity acting
@@ -149,8 +153,12 @@ def validate_module(m: PresentedModule) -> list:
 
 
 def zero_module(group: FiniteGroup) -> PresentedModule:
-    m = PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
-    m._violations = ()
+    """The module on no generators, built once per group and shared: nothing mutates a module."""
+    m = group._zero_module
+    if m is None:
+        m = PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
+        m._violations = ()
+        group._zero_module = m
     return m
 
 

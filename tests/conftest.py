@@ -209,6 +209,37 @@ def random_equivariant_map(source: PresentedModule, target: PresentedModule, rng
     return ModuleMap.zero(source, target)
 
 
+# Test-only linear algebra: the library never needs a determinant.
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def is_unimodular(a: IntMatrix) -> bool:
+    return a.rows == a.cols and determinant(a) in (1, -1)
+
+
 # Frozen references: the module and map checks run element by element, as
 # they were before the checks moved to a generating set.
 def full_validate_module(m: PresentedModule) -> list:

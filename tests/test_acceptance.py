@@ -35,7 +35,6 @@ from upic.homspace import HomSpaceData, pic, brauer_a, upic_dual, verify_torus_c
 from upic.intmatrix import (
     AbelianInvariants,
     IntMatrix,
-    is_unimodular,
     smith_normal_form,
     solve_integer,
 )
@@ -52,6 +51,7 @@ from upic.modules import (
     validate_module,
     zero_module,
 )
+from conftest import is_unimodular
 
 T = FiniteGroup.trivial()
 

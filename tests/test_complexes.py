@@ -26,8 +26,11 @@ from upic.modules import (
     ModuleMap,
     PresentedModule,
     add_relations,
+    direct_sum,
+    equivariant_by_transfer,
     finite_cyclic_module,
     free_module,
+    norm_one_lattice_of,
     regular_module,
     trivial_module,
     validate_module,
@@ -273,6 +276,32 @@ class TestCollapse:
             collapse(TwoTermSES(mu, nu))
 
 
+# The dual_resolution benchmark's seeded cases [J_C8 -> Z/n1 (+) Z/n2], seeds 1-5: the
+# moduli, the 2x7 seed of the transfer, and the ranks of the resolution in degrees 0..1.
+J_C8_TO_FINITE = [
+    (7, 2, [[2, -2, 2, 1, 3, 1, 1], [2, 0, 1, -2, -1, 3, -3]], [8, 1]),
+    (6, 2, [[-2, -3, 3, -1, 2, 3, -3], [2, 3, -1, 1, 3, 3, -2]], [9, 2]),
+    (7, 2, [[0, -1, 2, 2, 3, -3, -1], [-3, 1, -2, 3, 0, 2, -1]], [8, 1]),
+    (6, 5, [[-3, 3, -1, 3, -1, 1, 2], [3, 1, 0, 0, -3, -2, 3]], [8, 1]),
+    (2, 8, [[-3, 0, 0, -3, -2, 0, -3], [-1, -1, 2, 0, 3, 3, 1]], [10, 3]),
+]
+ONE_TERM_GROUPS = {f"C{n}": FiniteGroup.cyclic(n) for n in (2, 7, 8, 9)} | {
+    "S3": FiniteGroup.symmetric(3),
+    "V4": FiniteGroup.klein_four(),
+    "C2xC4": FiniteGroup.cyclic(2).direct_product(FiniteGroup.cyclic(4)),
+}
+
+
+def j_c8_to_finite(n1, n2, seed_rows):
+    """[J_C8 -> Z/n1 (trivial) (+) Z/n2 (sign)] by transfer, both modules validated."""
+    c8 = FiniteGroup.cyclic(8)
+    xg = norm_one_lattice_of(c8)
+    signs = [IntMatrix(2, 2, [[1, 0], [0, (-1) ** k]]) for k in range(8)]
+    xh = PresentedModule(c8, 2, IntMatrix(2, 2, [[n1, 0], [0, n2]]), signs)
+    assert validate_module(xg) == [] and validate_module(xh) == []
+    return two_term(equivariant_by_transfer(xg, xh, IntMatrix(2, 7, seed_rows)))
+
+
 class TestResolve:
     def test_z_mod_2(self):
         y = two_term(ModuleMap.zero(zero_module(T), z_mod(2)))
@@ -346,10 +375,15 @@ class TestResolve:
             group = groups[trial % len(groups)]
             a = random_module(group, rng, max_rank=2)
             b = random_module(group, rng, max_rank=2)
+            validate_module(a)
+            validate_module(b)
             f = random_equivariant_map(a, b, rng)
             y = BoundedComplex(group, 0, [a, b], [f])
-            m = resolve_torsion_free(y).source
-            a_prime, bottom, basis = m.terms[0], m.terms[1], m.differentials[0].matrix
+            psi = resolve_torsion_free(y)
+            m, s = psi.source, psi.source.lowest_degree
+            # the final stage's pair: the cover above plus Y^s, and the attaching matrix
+            a_prime, bottom = m.terms[0], direct_sum(m.term(s + 1), y.term(s))
+            basis = m.differentials[0].matrix.vstack(psi.component(s).matrix)
             assert bottom._violations == () and a_prime._violations == ()
             assert full_validate_module(a_prime) == []
             for g in range(group.order):
@@ -366,6 +400,59 @@ class TestResolve:
         a_prime = _kernel_lattice_module(bottom, IntMatrix.identity(1))
         assert [x.data for x in a_prime.action] == [[[1]], [[2]], [[4]], [[3]]]
         assert a_prime._violations is None and validate_module(a_prime) != []
+
+    @pytest.mark.parametrize("n1, n2, seed_rows, ranks", J_C8_TO_FINITE, ids=[f"seed{i}" for i in range(1, 6)])
+    def test_lattice_bottom_resolves_on_the_support(self, n1, n2, seed_rows, ranks):
+        """[J_C8 -> Z/n1 (+) Z/n2] resolves to the fibre product [J_C8 x P -> P] in degrees 0..1."""
+        y = j_c8_to_finite(n1, n2, seed_rows)
+        m = resolve_torsion_free(y).source
+        assert (m.lowest_degree, m.highest_degree) == (0, 1)
+        assert [t.gens for t in m.terms] == ranks
+        assert ranks[0] == y.term(0).gens + ranks[1]
+
+    @pytest.mark.parametrize("name", ONE_TERM_GROUPS)
+    def test_one_term_lattice_resolves_to_one_term(self, name):
+        group = ONE_TERM_GROUPS[name]
+        j = norm_one_lattice_of(group)
+        assert validate_module(j) == []
+        for y in (one_term(j, 0), two_term(ModuleMap.zero(j, zero_module(group)))):
+            m = resolve_torsion_free(y).source
+            assert (m.lowest_degree, m.highest_degree) == (0, 0)
+            assert m.terms[0].gens == j.gens
+
+    def test_lattice_bottom_dual_matches_the_layout_one_below(self, rng):
+        """The dual invariants agree whether the lowest lattice is kept or, presented with one
+        zero relation column, covered and resolved one degree below."""
+        from conftest import random_equivariant_map, random_module
+
+        groups = [FiniteGroup.cyclic(n) for n in (2, 4, 6)] + [FiniteGroup.symmetric(3), FiniteGroup.klein_four()]
+        for trial in range(10):
+            group = groups[trial % len(groups)]
+            a = random_module(group, rng, max_rank=2, allow_torsion=False)
+            b = random_module(group, rng, max_rank=2)
+            validate_module(a)
+            validate_module(b)
+            f = random_equivariant_map(a, b, rng)
+            padded = add_relations(a, IntMatrix.zeros(a.gens, 1))
+            kept = resolve_torsion_free(two_term(f)).source
+            below = resolve_torsion_free(two_term(ModuleMap(padded, b, f.matrix))).source
+            assert (kept.lowest_degree, below.lowest_degree) == (0, -1)
+            for i in (-1, 0, 1):
+                assert cohomology_invariants(dual_complex(kept), i) == cohomology_invariants(dual_complex(below), i)
+
+    def test_one_certificate_per_resolution(self, monkeypatch):
+        import upic.complexes as complexes
+
+        calls = []
+        certify = complexes.is_quasi_iso
+        monkeypatch.setattr(complexes, "is_quasi_iso", lambda psi: calls.append(psi) or certify(psi))
+        y = j_c8_to_finite(*J_C8_TO_FINITE[0][:3])
+        a, b = y.term(0), y.term(1)
+        padded = add_relations(a, IntMatrix.zeros(a.gens, 1))
+        for layout in (y, two_term(ModuleMap(padded, b, y.differential(0).matrix))):
+            calls.clear()
+            psi = resolve_torsion_free(layout)
+            assert calls == [psi]
 
 
 class TestDual:
