@@ -67,11 +67,12 @@ ENUMERATION_LIMIT = 1 << 20
 # refused from order 16; over the small resolution it stays in the thousands.
 COCHAIN_RANK_LIMIT = 1 << 15
 # Largest Z-rank r_(p-1)*|G| of F_(p-1) whose kernel the greedy route takes
-# to build F_p (abelian groups, C2^5 among them, take no kernel step).  On
-# pure Python every step up to this size took at most 6 s (C2^2 x A4 to
-# F_4: 1104); C2^5 to F_4 (1440) took 11 s, C2^4 x C3 to F_4 (1968) 22 s
-# and 130 MB.  F_3, all that brauer_a needs, stays under 800 for the
-# groups of order up to ORDER_CAP that were tried.
+# to build F_p (abelian groups take no kernel step).  On pure Python (2-vCPU
+# Xeon) C2^2 x A4 to F_4 (1104) took 0.6 s and S4 x C2 to F_4 (576) 4-5 s,
+# but S4 to F_5 (192) 13 s, nearly all in the dense Hermite form of its
+# kernel: the time follows the kernel's density, not this rank.  F_3, all
+# that brauer_a needs, stays under 800 for the groups of order up to
+# ORDER_CAP that were tried.
 RESOLUTION_BUILD_LIMIT = 24 * ORDER_CAP
 
 

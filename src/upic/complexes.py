@@ -404,8 +404,11 @@ def _kernel_lattice_module(bottom: PresentedModule, basis: IntMatrix) -> Present
     words, X_(s x) = X_s X_x (basis X_s X_x = rho(s) basis X_x = rho(sx)
     basis), and the result is valid by construction (the word argument in
     `upic.modules`).  Any other `bottom` has every X_g solved; no validity
-    is claimed.
+    is claimed.  A relation-free `bottom` whose lattice is all of it (the
+    basis is the identity) is its own restriction and is returned as it is.
     """
+    if not bottom.relations.cols and basis == IntMatrix.identity(bottom.gens):
+        return bottom
     group = bottom.group
     if bottom._violations != () or bottom.relations.cols:
         return free_module(group, [_solve_action(basis, rho.mul(basis)) for rho in bottom.action])

@@ -7,9 +7,7 @@ this module: Smith and Hermite forms, integer kernels, cycle lattices,
 image membership, and elementary-divisor invariants of cokernels and
 subquotients.  `SparseCols` holds the large, sparse cochain differentials;
 `cycle_lattice` eliminates their +-1 pivots on the sparse columns and
-hands only the remainder to the dense Hermite form.  `LatticeSpan` is a
-sparse echelon basis that grows vector by vector, for repeated membership
-tests against a growing lattice.
+hands only the remainder to the dense Hermite form.
 
 A Smith diagonal (`smith_diagonal`, `SmithDecomposition.diagonal`) has
 one entry per row of its matrix: the order of that Smith coordinate of
@@ -18,14 +16,17 @@ in the same ambient coordinates, the columns of `cycles` spanning Z and
 those of `boundaries` spanning B; `subquotient_relations` presents it on
 the cycle columns and `subquotient_invariants` reads its invariants.
 
-Membership in a fixed column span has one routine, `in_column_span`.  It
-reduces each vector forward against `IntMatrix.hermite_view`: a sparse
-view of the cached Hermite form, built once per matrix, holding per pivot
-its row, its value, the pivot column's nonzeros below it and the sparse
-transform column.  `solve_integer` runs the same forward reduction and
-back-substitutes through the transform columns.  `IntMatrix.mul` (the
-kernel's `matmul`) skips zero entries: the permutation actions and block
-matrices it sees are mostly zeros.
+A lattice, fixed or growing, is a `LatticeSpan`: sparse basis vectors
+kept in column Hermite form, the normal form `kernels.hnf_cols` gives, so
+equal lattices have equal bases.  `IntMatrix.span` loads a matrix's span
+once from its cached Hermite form, with each pivot's transform column;
+`LatticeSpan.add` grows a span vector by vector for the greedy resolution.
+Every membership test and integer solve runs the one forward reduction,
+`LatticeSpan.reduce`: `in_column_span` for a fixed matrix, `contains` for
+a grown span, and `solve_integer`, which back-substitutes through the
+transform columns.  `IntMatrix.mul` (the kernel's `matmul`) skips zero
+entries: the permutation actions and block matrices it sees are mostly
+zeros.
 
 The public constructor `IntMatrix(rows, cols, data)` copies its rows and
 checks the shape.  Matrices built in this module (products, sums, stacks,
@@ -46,7 +47,7 @@ from .errors import BoundaryNotInCycles
 
 
 class IntMatrix:
-    __slots__ = ("rows", "cols", "data", "_hnf_cache", "_hnf_view")
+    __slots__ = ("rows", "cols", "data", "_hnf_cache", "_span")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -58,7 +59,7 @@ class IntMatrix:
         self.cols = cols
         self.data = data
         self._hnf_cache = None
-        self._hnf_view = None
+        self._span = None
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -172,25 +173,14 @@ class IntMatrix:
             self._hnf_cache = (_wrap(self.rows, self.cols, h), _wrap(self.cols, self.cols, v), tuple(piv))
         return self._hnf_cache
 
-    def hermite_view(self) -> tuple:
-        """Sparse view of the cached Hermite form, one entry per pivot (r, c).
-
-        Each entry is (r, h[r][c], [(i, h[i][c]) for nonzeros below row r],
-        [(j, v[j][c]) for nonzeros]).  The pivot column is zero above row r,
-        so the entry holds all of it.
-        """
-        if self._hnf_view is None:
+    def span(self) -> "LatticeSpan":
+        """The column span, loaded once from the cached Hermite form, with each pivot's transform column."""
+        if self._span is None:
             h, v, pivots = self.hermite()
-            h_cols = list(zip(*h.data))
-            v_cols = list(zip(*v.data))
-            rows, cols = range(self.rows), range(self.cols)
-            view = []
-            for r, c in pivots:
-                col, t_col = h_cols[c], v_cols[c]
-                below = [(i, col[i]) for i in compress(rows[r + 1 :], col[r + 1 :])]
-                view.append((r, col[r], below, [(j, t_col[j]) for j in compress(cols, t_col)]))
-            self._hnf_view = tuple(view)
-        return self._hnf_view
+            h_cols, v_cols = h.columns(), v.columns()
+            basis = {r: _sparse(h_cols[c]) for r, c in pivots}
+            self._span = LatticeSpan(basis, {r: _sparse(v_cols[c]) for r, c in pivots})
+        return self._span
 
 
 def _wrap(rows: int, cols: int, data: list) -> IntMatrix:
@@ -204,7 +194,7 @@ def _wrap(rows: int, cols: int, data: list) -> IntMatrix:
     m.cols = cols
     m.data = data
     m._hnf_cache = None
-    m._hnf_view = None
+    m._span = None
     return m
 
 
@@ -273,53 +263,77 @@ class SparseCols:
         return _wrap(self.rows, self.cols, data)
 
 
-def _sub_multiple(v: dict, q: int, b: dict) -> dict:
-    out = dict(v)
+def _sparse(vec) -> dict:
+    return dict(zip(compress(range(len(vec)), vec), compress(vec, vec)))
+
+
+def _sub_multiple(v: dict, q: int, b: dict):
+    """v -= q * b in place, dropping the entries that become zero."""
     for i, x in b.items():
-        nv = out.get(i, 0) - q * x
+        nv = v.get(i, 0) - q * x
         if nv:
-            out[i] = nv
+            v[i] = nv
         else:
-            out.pop(i, None)
-    return out
+            v.pop(i, None)
 
 
 class LatticeSpan:
-    """A sublattice of Z^n that grows one vector at a time, with membership tests.
+    """A sublattice of Z^n in column Hermite form, for membership tests and integer solves.
 
-    Vectors are sparse {coordinate: value} dicts.  The basis is kept in
-    echelon form: each basis vector has a positive leading entry at its
-    lowest nonzero coordinate, and no two share that coordinate.  So a
-    vector lies in the lattice exactly when reducing it leading entry by
-    leading entry ends at zero.  Adding a vector whose leading entry is not
-    a multiple of the basis vector's runs Euclid's algorithm on the pair,
-    which keeps every step unimodular.
+    Vectors are sparse {coordinate: value} dicts.  `basis[r]` has its leading
+    (lowest nonzero) entry at row r, positive, and its entry at every later
+    pivot row t in [0, basis[t][t]): the normal form of `kernels.hnf_cols`,
+    one basis per lattice.  `trans[r]`, kept only by `IntMatrix.span`, is
+    the transform column that maps onto `basis[r]`.
     """
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "trans")
 
-    def __init__(self):
-        self.basis = {}
+    def __init__(self, basis: dict | None = None, trans: dict | None = None):
+        self.basis, self.trans = basis or {}, trans or {}
 
-    def contains(self, v: dict) -> bool:
+    def reduce(self, v: dict, steps: list | None = None) -> bool:
+        """Forward-reduce `v` in place, leading entry by leading entry; True iff it ends at zero.
+
+        Each (quotient, pivot row) is appended to `steps` when it is a list.
+        """
         while v:
             r = min(v)
             b = self.basis.get(r)
             if b is None or v[r] % b[r]:
                 return False
-            v = _sub_multiple(v, v[r] // b[r], b)
+            q = v[r] // b[r]
+            _sub_multiple(v, q, b)
+            if steps is not None:
+                steps.append((q, r))
         return True
 
+    def contains(self, v: dict) -> bool:
+        return self.reduce(dict(v))
+
     def add(self, v: dict):
-        while v:
+        """Adjoin `v` by unimodular steps: Euclid on each leading entry no basis vector divides."""
+        basis, v, touched = self.basis, dict(v), set()
+        while not self.reduce(v):
             r = min(v)
-            b = self.basis.get(r)
-            if b is None:
-                self.basis[r] = dict(v) if v[r] > 0 else {i: -x for i, x in v.items()}
-                return
-            v = _sub_multiple(v, v[r] // b[r], b)
-            if r in v:  # 0 < v[r] < b[r]: v becomes the basis vector, b is reduced next
-                self.basis[r], v = v, b
+            touched.add(r)
+            if r not in basis:
+                basis[r] = v if v[r] > 0 else {i: -x for i, x in v.items()}
+                break
+            _sub_multiple(v, v[r] // basis[r][r], basis[r])  # now 0 < v[r] < basis[r][r]: swap the two
+            basis[r], v = v, basis[r]
+        if not touched:
+            return
+        # back to the normal form: each vector nonzero at a touched row, at its later pivots in turn
+        for s in sorted([s for s, b in basis.items() if not b.keys().isdisjoint(touched)], reverse=True):
+            b = basis[s]
+            later = b.keys() - {s} & basis.keys()
+            while later:
+                t = min(later)
+                if not 0 <= b.get(t, 0) < basis[t][t]:
+                    _sub_multiple(b, b[t] // basis[t][t], basis[t])
+                    later |= basis[t].keys() & basis.keys()
+                later.remove(t)
 
 
 class SmithDecomposition:
@@ -524,41 +538,21 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     return _wrap(n, rank, [row[:rank] for row in h.data])
 
 
-def _reduce(view: tuple, vec: list, steps: list | None = None) -> bool:
-    """Forward-reduce `vec` (changed in place) against a Hermite view; True iff it ends at zero.
-
-    When `steps` is a list, each pivot's (quotient, transform column) is
-    appended to it, enough to back-substitute a solution.
-    """
-    for r, p, below, t_col in view:
-        val = vec[r]
-        if val:
-            if val % p:
-                return False
-            q = val // p
-            vec[r] = 0
-            for i, x in below:
-                vec[i] -= q * x
-            if steps is not None:
-                steps.append((q, t_col))
-    return not any(vec)
-
-
 def in_column_span(a: IntMatrix, vectors) -> bool:
     """Whether every vector of `vectors` lies in the integer column span of `a`.
 
-    Forward reduction only, against `a.hermite_view()`; no solution is
-    formed.  Zero vectors are skipped.
+    Forward reduction only, through `a.span()`; no solution is formed.
+    Zero vectors are skipped.
     """
-    view = None
+    span = None
     for vec in vectors:
         if len(vec) != a.rows:
             raise ValueError("right-hand side length mismatch")
         if not any(vec):
             continue
-        if view is None:
-            view = a.hermite_view()
-        if not _reduce(view, list(vec)):
+        if span is None:
+            span = a.span()
+        if not span.reduce(_sparse(vec)):
             return False
     return True
 
@@ -568,12 +562,12 @@ def solve_integer(a: IntMatrix, b) -> list | None:
     b = list(b)
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    steps = []
-    if not _reduce(a.hermite_view(), b, steps):
+    span, steps = a.span(), []
+    if not span.reduce(_sparse(b), steps):
         return None
     x = [0] * a.cols
-    for q, t_col in steps:
-        for j, t in t_col:
+    for q, r in steps:
+        for j, t in span.trans[r].items():
             x[j] += q * t
     return x
 

@@ -696,6 +696,24 @@ class TestResolutions:
         with pytest.raises(ExactnessViolation, match=message):
             HyperTotal(g, one_term(trivial_module(g), 0), 2, resolution=SmallResolution(g))
 
+    @pytest.mark.parametrize(
+        "name, ranks, values",
+        [
+            ("S3", [1, 2, 3, 3, 3], ["0", "Z/2", "0"]),
+            ("D4", [1, 2, 3, 4, 6], ["0", "Z/2 x Z/2", "Z/2"]),
+            ("A4", [1, 2, 3, 4, 4], ["0", "Z/3", "Z/2"]),
+            ("S4", [1, 2, 3, 4, 8], ["0", "Z/2", "Z/2"]),
+        ],
+    )
+    def test_greedy_route_is_pinned(self, name, ranks, values):
+        """The ranks of F_0..F_4 and H^1..H^3(Z) on the greedy route: a changed generator choice shows here."""
+        g = FiniteGroup.symmetric(4) if name == "S4" else AGREEMENT_GROUPS[name]
+        res = SmallResolution(g)
+        assert isinstance(small_resolution(g), SmallResolution)
+        assert [res.rank(p) for p in range(5)] == ranks
+        z = one_term(trivial_module(g), 0)
+        assert [HyperTotal(g, z, d, resolution=res).cohomology().render() for d in (1, 2, 3)] == values
+
     def test_group_and_resolution_form_no_cycle(self):
         # the resolution kept on a group must not refer back to it, or every
         # group built and dropped waits for the cyclic collector to be freed

@@ -420,6 +420,12 @@ class TestResolve:
             assert (m.lowest_degree, m.highest_degree) == (0, 0)
             assert m.terms[0].gens == j.gens
 
+    @pytest.mark.parametrize("name", ONE_TERM_GROUPS)
+    def test_one_term_lattice_is_kept_as_it_is(self, name):
+        """The cycle lattice of a one-term J_G is all of it, so M's term is J_G itself, not a rebuilt copy."""
+        y = one_term(norm_one_lattice_of(ONE_TERM_GROUPS[name]), 0)
+        assert resolve_torsion_free(y).source.term(0) is y.term(0)
+
     def test_lattice_bottom_dual_matches_the_layout_one_below(self, rng):
         """The dual invariants agree whether the lowest lattice is kept or, presented with one
         zero relation column, covered and resolved one degree below."""

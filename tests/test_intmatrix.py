@@ -8,6 +8,7 @@ from upic.errors import BoundaryNotInCycles
 from upic.intmatrix import (
     AbelianInvariants,
     IntMatrix,
+    LatticeSpan,
     SparseCols,
     cokernel_invariants,
     cycle_lattice,
@@ -235,6 +236,47 @@ def test_membership_and_solve_match_dense_reference():
     assert any(verdicts) and not all(verdicts)
     with pytest.raises(ValueError):
         in_column_span(IntMatrix(2, 1, [[1], [0]]), [[1]])
+
+
+def _grown(columns) -> LatticeSpan:
+    span = LatticeSpan()
+    for col in columns:
+        span.add({i: x for i, x in enumerate(col) if x})
+    return span
+
+
+def test_grown_span_equals_the_loaded_hermite_span():
+    """A span grown column by column has the pivots and basis of `IntMatrix.span()` of the same columns."""
+    rng = random.Random(17)
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 8)
+        cols = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6, -7)) for _ in range(m)] for _ in range(n)]
+        cols.insert(rng.randrange(n + 1), [0] * m)
+        cols.insert(rng.randrange(n + 2), list(rng.choice(cols)))
+        a = IntMatrix.from_columns(m, cols)
+        grown, loaded = _grown(cols), a.span()
+        assert sorted(grown.basis) == [r for r, _ in a.hermite()[2]]
+        assert grown.basis == loaded.basis and not grown.trans
+        pivots = sorted(grown.basis)
+        for k, s in enumerate(pivots):
+            b = grown.basis[s]
+            assert min(b) == s and b[s] > 0
+            assert all(0 <= b.get(t, 0) < grown.basis[t][t] for t in pivots[k + 1 :])
+        for _ in range(4):
+            v = [rng.randint(-4, 4) for _ in range(m)]
+            assert grown.contains({i: x for i, x in enumerate(v) if x}) == (solve_integer(a, v) is not None)
+
+
+def test_span_add_negates_and_runs_euclid():
+    """A negative leading entry is negated; a leading entry the pivot does not divide swaps in by Euclid."""
+    span = _grown([[-4, 3]])
+    assert span.basis == {0: {0: 4, 1: -3}}
+    span.add({0: 6})  # gcd(4, 6) = 2 leads row 0; row 1 gets 18 / 2
+    assert span.basis == {0: {0: 2, 1: 3}, 1: {1: 9}}
+    assert span.basis == IntMatrix(2, 2, [[-4, 6], [3, 0]]).span().basis
+    assert span.contains({0: 2, 1: 3}) and span.contains({1: -9}) and not span.contains({1: 3})
+    span.add({1: 3})  # the new pivot at row 1 reduces the entry above it
+    assert span.basis == {0: {0: 2}, 1: {1: 3}}
 
 
 def _reference_product(a, b, n):
@@ -521,7 +563,8 @@ def test_hnf_cols_bit_identical_to_seed_kernel():
 
 
 def test_kernel_signatures_match_tracer_patch_points():
-    """The benchmark tracer patches these three names and unpacks their arguments and results by position."""
+    """The benchmark tracer patches these three kernels and `IntMatrix.hermite`,
+    and unpacks their arguments and results by position."""
     import inspect
 
     from upic._backend import kernels
@@ -536,6 +579,9 @@ def test_kernel_signatures_match_tracer_patch_points():
     d, u, w = kernels.snf([[2, 1]], 1, 2, True)
     assert kernels.matmul([[2, 1]], v) == h and pivots == [(0, 0)]
     assert kernels.matmul(kernels.matmul(u, [[2, 1]]), w) == d
+    a = IntMatrix(1, 2, [[2, 1]])
+    h, v, pivots = a.hermite()
+    assert a.mul(v) == h and list(pivots) == [(0, 0)]
 
 
 def test_public_constructor_copies_and_checks():
