@@ -17,10 +17,12 @@ algorithm depends on that ordering.
 
 `shift`, `trim` and `cone` build their output unchecked: it is valid when
 their input is (see `cone`).  Whether H^i = 0 is one membership test with
-no Smith form (`_cohomology_vanishes`), and `resolve_torsion_free`
-certifies its result once, at the end.  Its one final step adjoins the
-kernel lattice at the lowest degree when that term is a lattice on a
-basis, else one below.
+no Smith form (`_cohomology_vanishes`).  A complex of lattices on a basis
+(no term has relation columns) is its own torsion-free resolution, and
+`resolve_torsion_free` returns the identity for it.  Any other complex is
+covered and coned, and certified once, at the end; the one final step
+adjoins the kernel lattice at the lowest degree when that term is a
+lattice on a basis, else one below.
 """
 
 from __future__ import annotations
@@ -404,11 +406,8 @@ def _kernel_lattice_module(bottom: PresentedModule, basis: IntMatrix) -> Present
     words, X_(s x) = X_s X_x (basis X_s X_x = rho(s) basis X_x = rho(sx)
     basis), and the result is valid by construction (the word argument in
     `upic.modules`).  Any other `bottom` has every X_g solved; no validity
-    is claimed.  A relation-free `bottom` whose lattice is all of it (the
-    basis is the identity) is its own restriction and is returned as it is.
+    is claimed.
     """
-    if not bottom.relations.cols and basis == IntMatrix.identity(bottom.gens):
-        return bottom
     group = bottom.group
     if bottom._violations != () or bottom.relations.cols:
         return free_module(group, [_solve_action(basis, rho.mul(basis)) for rho in bottom.action])
@@ -427,17 +426,23 @@ def _kernel_lattice_module(bottom: PresentedModule, basis: IntMatrix) -> Present
 def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     """Torsion-free resolution psi: M -> Y, a verified quasi-isomorphism.
 
-    Working from the top degree down, generators of H^t of the current
-    complex are lifted to cocycles and covered by permutation modules on
-    their stabilizer cosets; each cover is attached with a mapping cone.
-    One final step adjoins the kernel lattice at the lowest degree when
-    that term is a lattice on a basis (no relation columns), else one
-    below.  After the covers H^j = 0 above that degree; the kernel lattice
-    kills H^j there, and it embeds in a relation-free term, so it is torsion
-    free and nothing appears below it.  The terms of M are the attached
-    modules; its differentials and the components of psi are read off the
-    attaching maps.  For [A -> B] with A a lattice, M is the fibre product
-    [A x_B P -> P] of a permutation cover P of B.
+    When no term of Y has relation columns, every term is a lattice on a
+    basis and M is Y itself (trimmed, with the same term objects): psi is
+    the identity, a quasi-isomorphism by definition, and nothing is built
+    or certified.  Y was validated where it was built.  A lattice
+    presented with relation columns, even zero ones, takes the route below.
+
+    Otherwise, working from the top degree down, generators of H^t of the
+    current complex are lifted to cocycles and covered by permutation
+    modules on their stabilizer cosets; each cover is attached with a
+    mapping cone.  One final step adjoins the kernel lattice at the lowest
+    degree when that term is a lattice on a basis (no relation columns),
+    else one below.  After the covers H^j = 0 above that degree; the kernel
+    lattice kills H^j there, and it embeds in a relation-free term, so it is
+    torsion free and nothing appears below it.  The terms of M are the
+    attached modules; its differentials and the components of psi are read
+    off the attaching maps.  For [A -> B] with A a lattice, M is the fibre
+    product [A x_B P -> P] of a permutation cover P of B.
 
     The stages are unchecked scaffolding; the result is certified once:
     M and psi are validated, every term of M is torsion free and cone(psi)
@@ -445,8 +450,8 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     """
     group = y.group
     yt = y.trim()
-    if not yt.terms:
-        return ComplexMap(zero_complex(group), y, {}, check=False)
+    if not any(term.relations.cols for term in yt.terms):
+        return ComplexMap(yt, y, {i: ModuleMap.identity(yt.term(i)) for i in yt.degrees()}, check=False)
     lo, hi = yt.lowest_degree, yt.highest_degree
     stop = lo if not yt.terms[0].relations.cols else lo - 1
 

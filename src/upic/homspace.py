@@ -146,9 +146,12 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     """H^0 and H^-1 of RHom(complex, Z), exactly.
 
     Primary route: torsion-free resolution, termwise dual, plain complex
-    cohomology.  Secondary route: the five-term dual sequence, which pins
-    H^-1 exactly and constrains the rank and torsion order of H^0.  A
-    failed cross-check is an internal error (ExactnessViolation).
+    cohomology.  When neither term has relation columns the complex is its
+    own resolution, so the termwise dual is taken of the complex itself.
+    Secondary route: the five-term dual sequence, which pins H^-1 exactly
+    and constrains the rank and torsion order of H^0 (on a lattice complex
+    the stabilizer torsion is trivial, so it pins the torsion order too).
+    A failed cross-check is an internal error (ExactnessViolation).
     """
     complex_ = upic_complex(data)
     psi = resolve_torsion_free(complex_)

@@ -459,7 +459,7 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     left without a unit entry go to a dense `kernel_basis`.  Each column
     carries the projection of its transform, which maps every kernel
     vector back; one Hermite form of the spanning set gives the canonical
-    basis.
+    basis, returned with its own Hermite form attached.
     """
     if target_relations.rows != d.rows:
         raise ValueError("row count mismatch between d and the relations")
@@ -535,7 +535,11 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     span.entries = spanning
     h, _, pivots = span.to_dense().hermite()
     rank = len(pivots)  # the pivot columns come first
-    return _wrap(n, rank, [row[:rank] for row in h.data])
+    out = _wrap(n, rank, [row[:rank] for row in h.data])
+    # independent Hermite columns are their own Hermite form, with v = I;
+    # a copy of the rows, so that the cache does not refer back to `out`
+    out._hnf_cache = (_wrap(n, rank, [row[:] for row in out.data]), IntMatrix.identity(rank), pivots)
+    return out
 
 
 def in_column_span(a: IntMatrix, vectors) -> bool:

@@ -302,6 +302,28 @@ def j_c8_to_finite(n1, n2, seed_rows):
     return two_term(equivariant_by_transfer(xg, xh, IntMatrix(2, 7, seed_rows)))
 
 
+def assert_resolves_to_itself(y):
+    """psi is the identity of y.trim() into y, built with no cycle lattice, cone or certificate."""
+    import upic.complexes as complexes
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("cycle_lattice", "cone", "is_quasi_iso"):
+            real = getattr(complexes, name)
+            mp.setattr(complexes, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        psi = resolve_torsion_free(y)
+    assert calls == []
+    yt = y.trim()
+    assert psi.target is y
+    assert list(psi.source.degrees()) == list(yt.degrees())
+    assert all(s is t for s, t in zip(psi.source.terms, yt.terms))
+    for i in yt.degrees():
+        c = psi.component(i)
+        assert c.source is yt.term(i) and c.target is yt.term(i)
+        assert c.matrix == IntMatrix.identity(yt.term(i).gens)
+    assert is_quasi_iso(psi) == (True, {})
+
+
 class TestResolve:
     def test_z_mod_2(self):
         y = two_term(ModuleMap.zero(zero_module(T), z_mod(2)))
@@ -422,16 +444,33 @@ class TestResolve:
 
     @pytest.mark.parametrize("name", ONE_TERM_GROUPS)
     def test_one_term_lattice_is_kept_as_it_is(self, name):
-        """The cycle lattice of a one-term J_G is all of it, so M's term is J_G itself, not a rebuilt copy."""
+        """A one-term J_G is its own resolution: M's term is J_G itself, not a rebuilt copy."""
         y = one_term(norm_one_lattice_of(ONE_TERM_GROUPS[name]), 0)
         assert resolve_torsion_free(y).source.term(0) is y.term(0)
+        assert_resolves_to_itself(y)
 
-    def test_lattice_bottom_dual_matches_the_layout_one_below(self, rng):
-        """The dual invariants agree whether the lowest lattice is kept or, presented with one
-        zero relation column, covered and resolved one degree below."""
+    def test_lattice_complexes_resolve_to_themselves(self, rng):
+        """[A -> B] with no relation columns in either term is returned as it is, over C2, C4, C6, S3 and V4."""
         from conftest import random_equivariant_map, random_module
 
         groups = [FiniteGroup.cyclic(n) for n in (2, 4, 6)] + [FiniteGroup.symmetric(3), FiniteGroup.klein_four()]
+        for trial in range(10):
+            group = groups[trial % len(groups)]
+            a, b = (random_module(group, rng, max_rank=2, allow_torsion=False) for _ in range(2))
+            validate_module(a)
+            validate_module(b)
+            assert_resolves_to_itself(two_term(random_equivariant_map(a, b, rng)))
+        c2 = FiniteGroup.cyclic(2)
+        assert_resolves_to_itself(two_term(ModuleMap.zero(zero_module(c2), trivial_module(c2))))
+
+    def test_lattice_bottom_dual_matches_the_layout_one_below(self, rng):
+        """The dual invariants agree whether the lowest lattice is kept (with the whole complex,
+        when b has no relations) or, presented with one zero relation column, covered and
+        resolved one degree below."""
+        from conftest import random_equivariant_map, random_module
+
+        groups = [FiniteGroup.cyclic(n) for n in (2, 4, 6)] + [FiniteGroup.symmetric(3), FiniteGroup.klein_four()]
+        drawn = set()
         for trial in range(10):
             group = groups[trial % len(groups)]
             a = random_module(group, rng, max_rank=2, allow_torsion=False)
@@ -440,11 +479,16 @@ class TestResolve:
             validate_module(b)
             f = random_equivariant_map(a, b, rng)
             padded = add_relations(a, IntMatrix.zeros(a.gens, 1))
-            kept = resolve_torsion_free(two_term(f)).source
+            y = two_term(f)
+            kept = resolve_torsion_free(y).source
             below = resolve_torsion_free(two_term(ModuleMap(padded, b, f.matrix))).source
             assert (kept.lowest_degree, below.lowest_degree) == (0, -1)
+            # a relation-free b makes y its own resolution; a torsion b is covered
+            assert (kept is y) == (not b.relations.cols) == b.torsion_free()
+            drawn.add(kept is y)
             for i in (-1, 0, 1):
                 assert cohomology_invariants(dual_complex(kept), i) == cohomology_invariants(dual_complex(below), i)
+        assert drawn == {True, False}
 
     def test_one_certificate_per_resolution(self, monkeypatch):
         import upic.complexes as complexes

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from upic.complexes import cohomology_invariants
-from upic.errors import ValidationError
+from upic.errors import ExactnessViolation, ValidationError
 from upic.groups import FiniteGroup
 from upic.homspace import (
     BRAUER_CAVEAT,
@@ -297,6 +297,29 @@ class TestDualPipeline:
             assert not rep.hminus1.torsion
             runs += 1
         assert runs == 14
+
+    @pytest.mark.parametrize(
+        "degree, tamper",
+        [
+            (0, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
+            (0, lambda inv: AbelianInvariants(inv.free_rank, list(inv.torsion) + [2])),
+            (-1, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
+        ],
+        ids=["h0-rank", "h0-torsion", "hminus1"],
+    )
+    def test_tampered_dual_of_a_lattice_complex_is_caught(self, monkeypatch, degree, tamper):
+        """J_C4 is its own torsion-free resolution, so the five-term sequence alone checks its dual."""
+        import upic.homspace as homspace
+
+        c4 = FiniteGroup.cyclic(4)
+        data = make_data(c4, norm_one_lattice_of(c4), zero_module(c4))
+        assert upic_dual(data).h0 == AbelianInvariants(3)
+        real = homspace.cohomology_invariants
+        monkeypatch.setattr(
+            homspace, "cohomology_invariants", lambda c, i: tamper(real(c, i)) if i == degree else real(c, i)
+        )
+        with pytest.raises(ExactnessViolation):
+            upic_dual(data)
 
 
 class TestTopologicalReport:

@@ -346,8 +346,9 @@ def test_cycle_lattice_properties():
         ker = kernel_basis(d.hstack(rel.neg()))
         for j in range(ker.cols):
             assert solve_integer(z, ker.column(j)[:n]) is not None
-        # the basis is already in column Hermite form
-        assert z.hermite()[0] == z
+        # the basis is already in column Hermite form, and the form it carries is the computed one
+        assert z.hermite() == IntMatrix(z.rows, z.cols, z.data).hermite()
+        assert z.hermite()[0] == z and z.hermite()[0] is not z
 
 
 def dense_cycle_lattice(d, rel):
