@@ -1,20 +1,13 @@
 """Group cohomology and hypercohomology over free Z[G]-resolutions.
 
-A resolution ... -> F_1 -> F_0 = Z[G] -> Z is held as the ranks r_p and,
-for each free generator of F_p, its boundary as a Z[G]-combination
-{(j, g): c} of the generators e_j of F_(p-1).  Hom_G(F_p, M) is M^(r_p),
-and block (i, j) of the coboundary is the sum of c * rho(g) over the
-terms of the boundary of generator i (`hom_differential`).
-
-The default resolution is built only as far as a degree needs (H^n of a
-complex starting in degree q0 needs F_0..F_(n+1-q0)), certified exact once
-as it grows, and kept on the group.  A nontrivial abelian group gets
-`resolutions.AbelianResolution`: periodic per cyclic factor, their tensor
-product, certified by a contracting homotopy.  Any other group gets the
-greedy `SmallResolution`: each F_p from the kernel below it, certified by
-d d = 0 and image = kernel.  `BarResolution` is the normalized bar
-resolution, r_p = (|G|-1)^p; its coboundary is the inhomogeneous one,
-`cochain_differential`, and tests check both routes against it.
+Hom_G(F_p, M) is M^(r_p) for a resolution F (`upic.resolutions`), and
+block (i, j) of the coboundary is the sum of c * rho(g) over the terms
+c g e_j of the boundary of generator i of F_(p+1) (`hom_differential`);
+a resolution is read only through `rank` and `boundary`.  The default is
+the group's certified resolution (`resolutions.small_resolution`).
+`BarResolution` is the normalized bar resolution, r_p = (|G|-1)^p; its
+coboundary is the inhomogeneous one, `cochain_differential`, and tests
+check both routes against it.
 
 For a bounded complex of coefficients the total complex carries
 D = (-1)^q delta + d_coefficient on the (p, q) summand, so for a two-term
@@ -23,27 +16,24 @@ delta beta).  D*D = 0 is machine-checked on every instance before any
 invariant is reported.  Group cohomology is the one-term case: the module
 placed in degree 0.
 
-Three limits stop large inputs before the work: DEGREE_LIMIT bounds the
-degree HyperTotal is asked for, COCHAIN_RANK_LIMIT the rank of the cochains
-it assembles, RESOLUTION_BUILD_LIMIT the lattice whose kernel each new F_p
-of the greedy route is taken from; ENUMERATION_LIMIT bounds the
-enumeration oracle.  The differentials are sparse columns and reach
-`cycle_lattice` in that form.
+DEGREE_LIMIT bounds the degree HyperTotal is asked for and
+COCHAIN_RANK_LIMIT the rank of the cochains it assembles, both before the
+work (`resolutions.RESOLUTION_BUILD_LIMIT` bounds the greedy route);
+ENUMERATION_LIMIT bounds the enumeration oracle.  The differentials are
+sparse columns and reach `cycle_lattice` in that form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 
 from .complexes import BoundedComplex, one_term
 from .errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
-from .groups import ORDER_CAP, FiniteGroup
+from .groups import FiniteGroup
 from .intmatrix import (
     AbelianInvariants,
     IntMatrix,
-    LatticeSpan,
     SparseCols,
     cycle_lattice,
     in_column_span,
@@ -52,7 +42,7 @@ from .intmatrix import (
     unimodular_inverse,
 )
 from .modules import PresentedModule
-from .resolutions import AbelianResolution, z_boundary
+from .resolutions import AbelianResolution, SmallResolution, small_resolution
 
 # Largest degree HyperTotal computes.  Pic and Br_a need H^1 and H^2, and 4
 # keeps H^4(C2, Z) in reach.  The other limits grow with the ranks, and a
@@ -66,20 +56,6 @@ ENUMERATION_LIMIT = 1 << 20
 # H^n.  Over the bar resolution brauer_a on J_G needs (|G|-1)^4 and is
 # refused from order 16; over the small resolution it stays in the thousands.
 COCHAIN_RANK_LIMIT = 1 << 15
-# Largest Z-rank r_(p-1)*|G| of F_(p-1) whose kernel the greedy route takes
-# to build F_p (abelian groups take no kernel step).  On pure Python (2-vCPU
-# Xeon) C2^2 x A4 to F_4 (1104) took 0.6 s and S4 x C2 to F_4 (576) 4-5 s,
-# but S4 to F_5 (192) 13 s, nearly all in the dense Hermite form of its
-# kernel: the time follows the kernel's density, not this rank.  F_3, all
-# that brauer_a needs, stays under 800 for the groups of order up to
-# ORDER_CAP that were tried.
-RESOLUTION_BUILD_LIMIT = 24 * ORDER_CAP
-
-
-# Serializes SmallResolution._extend: a resolution is shared through its group,
-# and two threads extending it at once would both append the same level.
-# Held here rather than on the resolution, which stays picklable with its group.
-_EXTEND_LOCK = threading.Lock()
 
 
 def _nonidentity(group: FiniteGroup) -> list:
@@ -124,113 +100,32 @@ class BarResolution:
         return out
 
 
-def _choose_generators(group: FiniteGroup, kernel: list, rows: int) -> list:
-    """Z[G]-generators of a kernel lattice, given by its Hermite basis.
-
-    Sparsest basis vector first, ties to the later pivot (on S4 that gives
-    ranks 1, 2, 3, 4 up to F_3 where the earlier pivot gives 1, 3, 6, 12);
-    a vector already in the Z-span of the chosen generators' orbits is
-    skipped.
-    """
-    n = group.order
-    span = LatticeSpan()
-    gens = []
-    for k in sorted(range(len(kernel)), key=lambda k: (len(kernel[k]), -k)):
-        if not span.contains(kernel[k]):
-            gens.append({divmod(r, n): c for r, c in kernel[k].items()})
-            for col in z_boundary(group, gens[-1:], rows).entries:
-                span.add(col)
-    return gens
-
-
-def _certify(p: int, d_below: SparseCols, d_at: SparseCols, kernel: list):
-    """d_(p-1) d_p = 0, and the image of d_p holds every basis vector of ker d_(p-1)."""
-    if any(d_below.compose(d_at).entries):
-        raise ExactnessViolation(f"the resolution's boundaries do not compose to zero at F_{p}")
-    image = LatticeSpan()
-    for col in d_at.entries:
-        image.add(col)
-    if not all(image.contains(v) for v in kernel):
-        raise ExactnessViolation(f"the image of F_{p} is a proper sublattice of the kernel below it")
-
-
-class SmallResolution:
-    """A free Z[G]-resolution with few generators per degree, built on demand.
-
-    F_0 = Z[G] with the augmentation.  Each F_p is generated greedily from
-    the Hermite basis of ker d_(p-1) (`_choose_generators`), and certified
-    before it is kept (`_certify`): the resolution is exact at F_(p-1).
-    """
-
-    __slots__ = ("group", "boundaries", "_d_top")
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.boundaries = [None]  # F_0 maps onto Z by the augmentation
-        self._d_top = SparseCols(1, group.order)
-        self._d_top.entries = [{0: 1} for _ in range(group.order)]
-
-    def rank(self, p: int) -> int:
-        self._extend(p)
-        return len(self.boundaries[p]) if p else 1
-
-    def boundary(self, p: int) -> list:
-        self._extend(p)
-        return self.boundaries[p]
-
-    def _extend(self, length: int):
-        with _EXTEND_LOCK:
-            while len(self.boundaries) <= length:
-                p = len(self.boundaries)
-                d_below = self._d_top
-                if d_below.cols > RESOLUTION_BUILD_LIMIT:
-                    raise BudgetExceeded(
-                        f"F_{p} of the resolution needs a kernel in rank {d_below.cols},"
-                        f" over the limit {RESOLUTION_BUILD_LIMIT}"
-                    )
-                basis = cycle_lattice(d_below, IntMatrix.zeros(d_below.rows, 0)).columns()
-                kernel = [{r: x for r, x in enumerate(col) if x} for col in basis]
-                gens = _choose_generators(self.group, kernel, d_below.cols)
-                d_at = z_boundary(self.group, gens, d_below.cols)
-                _certify(p, d_below, d_at, kernel)
-                self.boundaries.append(gens)
-                self._d_top = d_at
-
-
-def small_resolution(group: FiniteGroup) -> AbelianResolution | SmallResolution:
-    """The group's default resolution, kept on the group and extended as degrees are asked.
-
-    The resolution is built on a twin of the group that holds no resolution,
-    so the two form no reference cycle and are freed together, by reference
-    counting, as soon as the group is dropped.
-    """
-    if group._resolution is None:
-        route = AbelianResolution if group.order > 1 and group.is_abelian() else SmallResolution
-        twin = object.__new__(FiniteGroup)
-        for slot in FiniteGroup.__slots__:
-            setattr(twin, slot, getattr(group, slot))
-        twin._resolution = None
-        group._resolution = route(twin)
-    return group._resolution
-
-
 def hom_differential(
-    resolution: BarResolution | SmallResolution | AbelianResolution, m: PresentedModule, p: int
+    resolution: BarResolution | SmallResolution | AbelianResolution,
+    m: PresentedModule,
+    p: int,
+    out: SparseCols | None = None,
+    at: tuple = (0, 0),
+    sign: int = 1,
 ) -> SparseCols:
     """The coboundary Hom_G(F_p, M) = M^(r_p) -> Hom_G(F_(p+1), M) as a sparse matrix.
 
     Block (i, j) is the sum of c * rho(g) over the terms c g e_j of the
-    boundary of generator i of F_(p+1); the identity acts by the identity matrix.
+    boundary of generator i of F_(p+1); the identity acts by the identity
+    matrix.  Given `out`, sign times the coboundary is added into it, with
+    its top left entry at row and column `at`.
     """
     n = m.gens
-    out = SparseCols(n * resolution.rank(p + 1), n * resolution.rank(p))
+    if out is None:
+        out = SparseCols(n * resolution.rank(p + 1), n * resolution.rank(p))
     if n == 0:
         return out
+    r0, c0 = at
     ident = IntMatrix.identity(n)
     e = resolution.group.identity
     for i, bd in enumerate(resolution.boundary(p + 1)):
         for (j, g), c in bd.items():
-            out.add_block(i * n, j * n, ident if g == e else m.action_of(g), sign=c)
+            out.add_block(r0 + i * n, c0 + j * n, ident if g == e else m.action_of(g), sign=sign * c)
     return out
 
 
@@ -242,13 +137,13 @@ def cochain_differential(group: FiniteGroup, m: PresentedModule, p: int) -> Spar
 class HyperTotal:
     """Total complex of Hom_G(F, K) for a resolution F and a bounded complex K.
 
-    Builds the summands Tot^n = (+)_q Hom_G(F_(n-q), K^q) for the degrees
-    n0-1, n0, n0+1 needed to read off H^n0, assembles D, and verifies
-    D composed with D vanishes modulo the relation lattice.  The resolution
-    defaults to the group's small resolution.  A degree over DEGREE_LIMIT
-    raises BudgetExceeded before any resolution level is built, and a rank
-    of Tot^(n0+1) over COCHAIN_RANK_LIMIT before any differential is
-    assembled.
+    Lays out the summands Tot^n = (+)_q Hom_G(F_(n-q), K^q) for the degrees
+    n0+1, n0, n0-1 needed to read off H^n0, once each, assembles D, and
+    verifies D composed with D vanishes modulo the relation lattice.  The
+    resolution defaults to the group's small resolution.  A degree over
+    DEGREE_LIMIT raises BudgetExceeded before any resolution level is
+    built, and a rank of Tot^(n0+1) over COCHAIN_RANK_LIMIT before any
+    differential is assembled.
     """
 
     __slots__ = ("group", "coeffs", "degree", "resolution", "d_below", "d_at", "rel_at", "rel_above")
@@ -266,56 +161,42 @@ class HyperTotal:
         self.coeffs = coeffs
         self.degree = degree
         self.resolution = small_resolution(group) if resolution is None else resolution
-        _, rank_above = self._offsets(degree + 1)
-        if rank_above > COCHAIN_RANK_LIMIT:
+        above = self._layout(degree + 1)
+        if above[1] > COCHAIN_RANK_LIMIT:
             raise BudgetExceeded(
-                f"degree {degree + 1} cochains have rank {rank_above}, over the limit {COCHAIN_RANK_LIMIT}"
+                f"degree {degree + 1} cochains have rank {above[1]}, over the limit {COCHAIN_RANK_LIMIT}"
             )
-        self.d_below = self._differential(degree - 1)
-        self.d_at = self._differential(degree)
-        self.rel_at = self._relations(degree)
-        self.rel_above = self._relations(degree + 1)
+        at = self._layout(degree)
+        below = self._layout(degree - 1)
+        self.d_below = self._differential(below, at)
+        self.d_at = self._differential(at, above)
+        self.rel_at = self._relations(at)
+        self.rel_above = self._relations(above)
         self._check_square_zero()
 
-    def _summands(self, n: int) -> list:
-        out = []
+    def _layout(self, n: int):
+        """The offset of each nonzero summand of Tot^n, keyed (q, p), and the rank of Tot^n."""
+        offsets, total = {}, 0
         for q in self.coeffs.degrees():
-            p = n - q
-            if p >= 0 and self.coeffs.term(q).gens > 0:
-                out.append((q, p))
-        return out
+            m = self.coeffs.term(q)
+            if n - q >= 0 and m.gens:
+                offsets[(q, n - q)] = total
+                total += m.gens * self.resolution.rank(n - q)
+        return offsets, total
 
-    def _offsets(self, n: int):
-        offs = {}
-        total = 0
-        for q, p in self._summands(n):
-            offs[(q, p)] = total
-            total += self.coeffs.term(q).gens * self.resolution.rank(p)
-        return offs, total
+    def _relations(self, layout) -> IntMatrix:
+        return IntMatrix.block_diagonal(
+            self.coeffs.term(q).relations for q, p in layout[0] for _ in range(self.resolution.rank(p))
+        )
 
-    def _relations(self, n: int) -> IntMatrix:
-        blocks = [
-            IntMatrix.block_diagonal([self.coeffs.term(q).relations] * self.resolution.rank(p))
-            for q, p in self._summands(n)
-        ]
-        if not blocks:
-            _, total = self._offsets(n)
-            return IntMatrix.zeros(total, 0)
-        return IntMatrix.block_diagonal(blocks)
-
-    def _differential(self, n: int) -> SparseCols:
-        src_offs, src_total = self._offsets(n)
-        tgt_offs, tgt_total = self._offsets(n + 1)
+    def _differential(self, src, tgt) -> SparseCols:
+        """D from the summands laid out by `src` to those laid out by `tgt`."""
+        (src_offs, src_total), (tgt_offs, tgt_total) = src, tgt
         out = SparseCols(tgt_total, src_total)
         for (q, p), c0 in src_offs.items():
             m = self.coeffs.term(q)
             if (q, p + 1) in tgt_offs:
-                d = hom_differential(self.resolution, m, p)
-                sign = -1 if q % 2 else 1
-                r0 = tgt_offs[(q, p + 1)]
-                for c, col in enumerate(d.entries):
-                    for r, v in col.items():
-                        out.add(r0 + r, c0 + c, sign * v)
+                hom_differential(self.resolution, m, p, out, (tgt_offs[(q, p + 1)], c0), -1 if q % 2 else 1)
             if (q + 1, p) in tgt_offs:
                 f = self.coeffs.differential(q).matrix
                 r0 = tgt_offs[(q + 1, p)]
@@ -330,8 +211,7 @@ class HyperTotal:
             raise ExactnessViolation("total differential does not square to zero")
 
     def cohomology(self) -> AbelianInvariants:
-        _, n_at = self._offsets(self.degree)
-        if n_at == 0:
+        if self.d_at.cols == 0:
             return AbelianInvariants(0)
         cycles = cycle_lattice(self.d_at, self.rel_above)
         return subquotient_invariants(cycles, self.d_below.to_dense().hstack(self.rel_at))

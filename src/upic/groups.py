@@ -20,7 +20,7 @@ MODULE_RANK_CAP = 2 * ORDER_CAP
 
 class FiniteGroup:
     # _resolution holds the group's small free resolution once
-    # cohomology.small_resolution has built it; it grows with the degrees asked.
+    # resolutions.small_resolution has built it; it grows with the degrees asked.
     # _generators keeps generators() once computed, and _zero_module the one
     # module on no generators that modules.zero_module hands out.
     __slots__ = ("order", "table", "identity", "inverse", "_element_orders", "_generators", "_resolution", "_zero_module")

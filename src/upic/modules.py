@@ -370,9 +370,6 @@ class ModuleMap:
             raise ValidationError(["composition mismatch"])
         return ModuleMap(inner.source, self.target, self.matrix.mul(inner.matrix))
 
-    def add(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.matrix.add(other.matrix))
-
     def neg(self) -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.matrix.neg())
 
@@ -389,14 +386,6 @@ class ModuleMap:
 
     def is_zero_map(self) -> bool:
         return self.target.contains_columns(self.matrix)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleMap)
-            and self.matrix == other.matrix
-            and self.source.gens == other.source.gens
-            and self.target.gens == other.target.gens
-        )
 
     def __repr__(self):
         return f"ModuleMap({self.source.gens}->{self.target.gens})"

@@ -1,28 +1,41 @@
-"""Free Z[G]-resolutions of finite abelian groups, built from the group's structure.
+"""Certified free Z[G]-resolutions, built level by level as degrees are asked.
 
-A nontrivial finite abelian group is a product <t_1> x ... x <t_k> of cyclic
-groups of orders d_1 | ... | d_k (`factor_basis`).  A cyclic factor has the
-periodic resolution ... -N-> Z[C] -(t-1)-> Z[C] -> Z, and the group has
-their tensor product (Brown, Cohomology of Groups, GTM 87, I.6 and V.1):
-F_n is free on the compositions p of n into k parts, so
-r_n = C(n+k-1, k-1), and
+A resolution ... -> F_1 -> F_0 = Z[G] -> Z is held as the ranks r_p and,
+for each free generator of F_p, its boundary as a Z[G]-combination
+{(j, g): c} of the generators e_j of F_(p-1), the form that
+`cohomology.hom_differential` reads.  `small_resolution` gives a group its
+default resolution, kept on the group and grown as degrees are asked.
 
-    d e_p = sum over i with p_i > 0 of (-1)^(p_1+...+p_(i-1)) delta_i e_(p-u_i),
+Both routes grow the same way (`_Resolution`).  d_0 is the augmentation
+F_0 -> Z.  A new level's d_p is built on the Z-bases {g e_j}
+(`z_boundary`), so it is a G-map by construction and d_(p-1) d_p = 0 is
+checked on the generator columns only; then the route's exactness check
+runs, and only a certified level is kept.  A route supplies nothing else:
+its generators of F_p and that check.
 
-with delta_i = t_i - 1 for p_i odd and N_i = 1 + t_i + ... + t_i^(d_i-1)
-for p_i even.  Boundaries take the {(j, g): c} form that
-`cohomology.hom_differential` reads.
+* Greedy (`SmallResolution`: the trivial group and every nonabelian one).
+  F_p is generated greedily from the Hermite basis of ker d_(p-1)
+  (`_choose_generators`), and the image of d_p must hold that basis.
+  RESOLUTION_BUILD_LIMIT bounds the lattice whose kernel is taken.
+* Constructed (`AbelianResolution`: a nontrivial abelian group).  The
+  group is a product <t_1> x ... x <t_k> of cyclic groups of orders
+  d_1 | ... | d_k (`factor_basis`).  A cyclic factor has the periodic
+  resolution ... -N-> Z[C] -(t-1)-> Z[C] -> Z, and the group has their
+  tensor product (Brown, Cohomology of Groups, GTM 87, I.6 and V.1): F_n
+  is free on the compositions p of n into k parts, so r_n = C(n+k-1, k-1),
+  and
 
-Each level is certified before it is kept, by sparse products and no
-kernel step: d d = 0 with d_0 the augmentation eps, on the generators
-(d is a G-map by construction), and d_(n+1) h_n + h_(n-1) d_n = 1 on the
-Z-basis {g e_p}, with h_(-1) = eta: Z -> F_0, for a
-Z-linear contracting homotopy h (as in Ellis's HAP, J. Symbolic Comput.
-38, 2004).  On a cyclic factor h(t^a e_p) = (1 + t + ... + t^(a-1)) e_(p+1)
-for p even and [a = d-1] e_(p+1) for p odd; on a product,
-H = h (x) 1 + eta eps (x) h'.  The identity on F_n gives exactness
-there: a cycle x is d(h x).  A factor basis that is not a group
-isomorphism fails the certificate.
+      d e_p = sum over i with p_i > 0 of (-1)^(p_1+...+p_(i-1)) delta_i e_(p-u_i),
+
+  with delta_i = t_i - 1 for p_i odd and N_i = 1 + t_i + ... + t_i^(d_i-1)
+  for p_i even.  Exactness is certified with no kernel step:
+  d_(n+1) h_n + h_(n-1) d_n = 1 on the Z-basis {g e_p}, with
+  h_(-1) = eta: Z -> F_0, for a Z-linear contracting homotopy h (as in
+  Ellis's HAP, J. Symbolic Comput. 38, 2004).  On a cyclic factor
+  h(t^a e_p) = (1 + t + ... + t^(a-1)) e_(p+1) for p even and
+  [a = d-1] e_(p+1) for p odd; on a product, H = h (x) 1 + eta eps (x) h'.
+  The identity on F_n gives exactness there: a cycle x is d(h x).  A
+  factor basis that is not a group isomorphism fails the certificate.
 """
 
 from __future__ import annotations
@@ -30,11 +43,22 @@ from __future__ import annotations
 import math
 import threading
 
-from .errors import ExactnessViolation
-from .groups import FiniteGroup
-from .intmatrix import IntMatrix, SparseCols, smith_normal_form
+from .errors import BudgetExceeded, ExactnessViolation
+from .groups import ORDER_CAP, FiniteGroup
+from .intmatrix import IntMatrix, LatticeSpan, SparseCols, cycle_lattice, smith_normal_form
 
-# Serializes AbelianResolution._extend, as cohomology's lock does for the greedy route.
+# Largest Z-rank r_(p-1)*|G| of F_(p-1) whose kernel the greedy route takes
+# to build F_p (abelian groups take no kernel step).  On pure Python (2-vCPU
+# Xeon) C2^2 x A4 to F_4 (1104) took 0.6 s and S4 x C2 to F_4 (576) 4-5 s,
+# but S4 to F_5 (192) 13 s, nearly all in the dense Hermite form of its
+# kernel: the time follows the kernel's density, not this rank.  F_3, all
+# that brauer_a needs, stays under 800 for the groups of order up to
+# ORDER_CAP that were tried.
+RESOLUTION_BUILD_LIMIT = 24 * ORDER_CAP
+
+# Serializes _Resolution._extend: a resolution is shared through its group,
+# and two threads extending it at once would both append the same level.
+# Held here rather than on the resolution, which stays picklable with its group.
 _EXTEND_LOCK = threading.Lock()
 
 
@@ -47,6 +71,92 @@ def z_boundary(group: FiniteGroup, gens: list, rows: int) -> SparseCols:
             row_h = group.table[h]
             out.entries[i * n + h] = {j * n + row_h[g]: c for (j, g), c in bd.items()}
     return out
+
+
+class _Resolution:
+    """A free Z[G]-resolution that grows one certified level at a time.
+
+    `boundaries[p]` holds the boundaries of the generators of F_p (None
+    for F_0), and `_d_top` is d of the top level kept, on the Z-bases.  A
+    route supplies `_level(p, d_below)`, the generators of F_p with a
+    witness for its check, and `_exact(p, d_below, d_at, witness)`, which
+    raises ExactnessViolation unless the resolution is exact at F_(p-1).
+    """
+
+    __slots__ = ("group", "boundaries", "_d_top")
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.boundaries = [None]
+        self._d_top = SparseCols(1, group.order)  # the augmentation F_0 -> Z
+        self._d_top.entries = [{0: 1} for _ in range(group.order)]
+
+    def rank(self, p: int) -> int:
+        self._extend(p)
+        return len(self.boundaries[p]) if p else 1
+
+    def boundary(self, p: int) -> list:
+        self._extend(p)
+        return self.boundaries[p]
+
+    def _extend(self, length: int):
+        with _EXTEND_LOCK:
+            while len(self.boundaries) <= length:
+                p = len(self.boundaries)
+                d_below = self._d_top
+                gens, witness = self._level(p, d_below)
+                d_at = z_boundary(self.group, gens, d_below.cols)
+                # d_p is a G-map by construction (column i*|G| + g is g times
+                # column i*|G| + e), so d d vanishes once it does on the generators
+                on_gens = SparseCols(d_at.rows, 0)
+                on_gens.cols, on_gens.entries = len(gens), d_at.entries[self.group.identity :: self.group.order]
+                if any(d_below.compose(on_gens).entries):
+                    raise ExactnessViolation(f"the resolution's boundaries do not compose to zero at F_{p}")
+                self._exact(p, d_below, d_at, witness)
+                self.boundaries.append(gens)
+                self._d_top = d_at
+
+
+def _choose_generators(group: FiniteGroup, kernel: list, rows: int) -> list:
+    """Z[G]-generators of a kernel lattice, given by its Hermite basis.
+
+    Sparsest basis vector first, ties to the later pivot (on S4 that gives
+    ranks 1, 2, 3, 4 up to F_3 where the earlier pivot gives 1, 3, 6, 12);
+    a vector already in the Z-span of the chosen generators' orbits is
+    skipped.
+    """
+    n = group.order
+    span = LatticeSpan()
+    gens = []
+    for k in sorted(range(len(kernel)), key=lambda k: (len(kernel[k]), -k)):
+        if not span.contains(kernel[k]):
+            gens.append({divmod(r, n): c for r, c in kernel[k].items()})
+            for col in z_boundary(group, gens[-1:], rows).entries:
+                span.add(col)
+    return gens
+
+
+class SmallResolution(_Resolution):
+    """A free Z[G]-resolution with few generators per degree, generated greedily from each kernel."""
+
+    __slots__ = ()
+
+    def _level(self, p: int, d_below: SparseCols):
+        if d_below.cols > RESOLUTION_BUILD_LIMIT:
+            raise BudgetExceeded(
+                f"F_{p} of the resolution needs a kernel in rank {d_below.cols}, over the limit {RESOLUTION_BUILD_LIMIT}"
+            )
+        basis = cycle_lattice(d_below, IntMatrix.zeros(d_below.rows, 0)).columns()
+        kernel = [{r: x for r, x in enumerate(col) if x} for col in basis]
+        return _choose_generators(self.group, kernel, d_below.cols), kernel
+
+    def _exact(self, p: int, d_below: SparseCols, d_at: SparseCols, kernel: list):
+        """The image of d_p holds every basis vector of ker d_(p-1), in a span of its own."""
+        image = LatticeSpan()
+        for col in d_at.entries:
+            image.add(col)
+        if not all(image.contains(v) for v in kernel):
+            raise ExactnessViolation(f"the image of F_{p} is a proper sublattice of the kernel below it")
 
 
 def factor_basis(group: FiniteGroup):
@@ -85,65 +195,43 @@ def _compositions(n: int, k: int) -> list:
     return [(a,) + rest for a in range(n + 1) for rest in _compositions(n - a, k - 1)]
 
 
-class AbelianResolution:
+class AbelianResolution(_Resolution):
     """The tensor product of the periodic resolutions of an abelian group's cyclic factors.
 
-    Same interface as `cohomology.SmallResolution`: `rank(p)` and
-    `boundary(p)`, built on demand and kept.  Only the boundaries are kept;
-    the Z-level d and h that certify a level are rebuilt when the
-    resolution grows.
+    The ranks are known in closed form; `_h_top` keeps the contracting
+    homotopy h_(p-1) of the top level p kept (h_(-1) = eta once a level is built).
     """
 
-    __slots__ = ("group", "orders", "coords", "boundaries")
+    __slots__ = ("orders", "coords", "_h_top")
 
     def __init__(self, group: FiniteGroup):
-        self.group = group
+        super().__init__(group)
         self.orders, self.coords = factor_basis(group)
-        self.boundaries = [None]  # F_0 maps onto Z by the augmentation
+        self._h_top = None
 
     def rank(self, p: int) -> int:
         return math.comb(p + len(self.orders) - 1, p)
 
-    def boundary(self, p: int) -> list:
-        self._extend(p)
-        return self.boundaries[p]
+    def _level(self, p: int, d_below: SparseCols):
+        element = {a: x for x, a in enumerate(self.coords)}
+        if len(element) != self.group.order:
+            raise ExactnessViolation("the factor coordinates do not number the group's elements")
+        if self._h_top is None:
+            self._h_top = self._homotopy(-1, element)
+        return self._generators(p, element), element
 
-    def _extend(self, length: int):
-        with _EXTEND_LOCK:
-            top = len(self.boundaries) - 1
-            if top >= length:
-                return
-            n = self.group.order
-            element = {a: x for x, a in enumerate(self.coords)}
-            if len(element) != n:
-                raise ExactnessViolation("the factor coordinates do not number the group's elements")
-            if top:
-                d_below = z_boundary(self.group, self.boundaries[top], self.rank(top - 1) * n)
-            else:
-                d_below = SparseCols(1, n)
-                d_below.entries = [{0: 1} for _ in range(n)]
-            h_below = self._homotopy(top - 1, element)
-            for p in range(top + 1, length + 1):
-                gens = self._generators(p, element)
-                d_at = z_boundary(self.group, gens, d_below.cols)
-                h_at = self._homotopy(p - 1, element)
-                # d_p is a G-map by construction (column i*n + g is g times column
-                # i*n + e), so d d vanishes once it vanishes on the generators
-                on_gens = SparseCols(d_at.rows, 0)
-                on_gens.cols, on_gens.entries = len(gens), d_at.entries[self.group.identity :: n]
-                if any(d_below.compose(on_gens).entries):
-                    raise ExactnessViolation(f"the resolution's boundaries do not compose to zero at F_{p}")
-                # d_p h_(p-1) + h_(p-2) d_(p-1) = 1, summed column by column
-                for c, col in enumerate(h_at.entries):
-                    acc = {}
-                    for right, left in ((col, d_at.entries), (d_below.entries[c], h_below.entries)):
-                        for mid, v in right.items():
-                            for r, w in left[mid].items():
-                                acc[r] = acc.get(r, 0) + v * w
-                    if {r: x for r, x in acc.items() if x} != {c: 1}:
-                        raise ExactnessViolation(f"the contracting homotopy fails on F_{p - 1}")
-                self.boundaries.append(gens)
-                d_below, h_below = d_at, h_at
+    def _exact(self, p: int, d_below: SparseCols, d_at: SparseCols, element: dict):
+        """d_p h_(p-1) + h_(p-2) d_(p-1) = 1 on F_(p-1), summed column by column."""
+        h_at = self._homotopy(p - 1, element)
+        for c, col in enumerate(h_at.entries):
+            acc = {}
+            for right, left in ((col, d_at.entries), (d_below.entries[c], self._h_top.entries)):
+                for mid, v in right.items():
+                    for r, w in left[mid].items():
+                        acc[r] = acc.get(r, 0) + v * w
+            if {r: x for r, x in acc.items() if x} != {c: 1}:
+                raise ExactnessViolation(f"the contracting homotopy fails on F_{p - 1}")
+        self._h_top = h_at
 
     def _generators(self, p: int, element: dict) -> list:
         """The boundaries of the generators of F_p, one per composition of p."""
@@ -196,3 +284,20 @@ class AbelianResolution:
                     if qi:
                         break
         return out
+
+
+def small_resolution(group: FiniteGroup) -> AbelianResolution | SmallResolution:
+    """The group's default resolution, kept on the group and extended as degrees are asked.
+
+    The resolution is built on a twin of the group that holds no resolution,
+    so the two form no reference cycle and are freed together, by reference
+    counting, as soon as the group is dropped.
+    """
+    if group._resolution is None:
+        route = AbelianResolution if group.order > 1 and group.is_abelian() else SmallResolution
+        twin = object.__new__(FiniteGroup)
+        for slot in FiniteGroup.__slots__:
+            setattr(twin, slot, getattr(group, slot))
+        twin._resolution = None
+        group._resolution = route(twin)
+    return group._resolution

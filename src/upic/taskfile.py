@@ -173,7 +173,7 @@ class BuiltTasks:
             gen_indices = tf.generators
         for g in gen_indices:
             if not (type(g) is int and 0 <= g < group.order):
-                raise ValidationError([f"generator index {g} out of range"])
+                raise ValidationError([f"generator {g!r}: need an integer element index in 0..{group.order - 1}"])
         self.group = group
         self.generator_indices = gen_indices
 

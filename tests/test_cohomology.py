@@ -5,23 +5,20 @@ import time
 
 import pytest
 
-from upic import cohomology
+from upic import cohomology, resolutions
 from upic.cohomology import (
     COCHAIN_RANK_LIMIT,
     DEGREE_LIMIT,
     ENUMERATION_LIMIT,
-    RESOLUTION_BUILD_LIMIT,
     BarResolution,
     HyperTotal,
-    SmallResolution,
     cochain_differential,
     cyclic_oracle,
     finite_coeff_bruteforce,
     group_cohomology,
     hypercohomology,
-    small_resolution,
 )
-from upic.complexes import one_term, two_term, zero_complex
+from upic.complexes import BoundedComplex, one_term, two_term, zero_complex
 from upic.errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
 from upic.groups import ORDER_CAP, FiniteGroup
 from upic.intmatrix import AbelianInvariants, IntMatrix, smith_normal_form, unimodular_inverse
@@ -34,7 +31,7 @@ from upic.modules import (
     regular_module,
     trivial_module,
 )
-from upic.resolutions import AbelianResolution
+from upic.resolutions import RESOLUTION_BUILD_LIMIT, AbelianResolution, SmallResolution, small_resolution
 
 T = FiniteGroup.trivial()
 C2 = FiniteGroup.cyclic(2)
@@ -497,14 +494,14 @@ class TestHyper:
         # earlier one) is over the limit: refused before that step runs and
         # before any cochain is assembled.
         kernel_ranks = []
-        real_cycle_lattice = cohomology.cycle_lattice
+        real_cycle_lattice = resolutions.cycle_lattice
 
         def watched(d, relations):
             kernel_ranks.append(d.cols)
             return real_cycle_lattice(d, relations)
 
         monkeypatch.setattr(cohomology, "hom_differential", _no_assembly)
-        monkeypatch.setattr(cohomology, "cycle_lattice", watched)
+        monkeypatch.setattr(resolutions, "cycle_lattice", watched)
         g = elementary_abelian(5)
         assert 70 * g.order > RESOLUTION_BUILD_LIMIT
         with pytest.raises(BudgetExceeded, match=f"over the limit {RESOLUTION_BUILD_LIMIT}"):
@@ -516,6 +513,15 @@ class TestHyper:
         k = two_term(ModuleMap.zero(s, s))
         ht = HyperTotal(C2, k, 1)
         assert ht.cohomology() == AbelianInvariants(0, [2])
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_square_zero_check_fails(self, degree):
+        # the unchecked complex Z --2--> Z --1--> Z over C2 has d d = 2, so D D
+        # is 2 from Hom_G(F_(n-1), K^0) in Tot^(n-1) to Hom_G(F_(n-1), K^2) in Tot^(n+1)
+        z = trivial_module(C2)
+        k = BoundedComplex(C2, 0, [z, z, z], [ModuleMap(z, z, IntMatrix(1, 1, [[c]])) for c in (2, 1)], check=False)
+        with pytest.raises(ExactnessViolation, match="total differential does not square to zero"):
+            HyperTotal(C2, k, degree)
 
     def test_les_order_bookkeeping(self, rng):
         # For the triple H^(i-1)(B) -> H^i(K) -> H^i(A), exactness at the
@@ -676,7 +682,7 @@ class TestResolutions:
     def test_tampered_boundary(self, monkeypatch, level, kind, message):
         # doubling a boundary keeps d d = 0 but leaves index 2^k in the kernel;
         # adding the generator below to it breaks d d = 0
-        real = cohomology._choose_generators
+        real = resolutions._choose_generators
         calls = []
 
         def tampered(group, kernel, rows):
@@ -691,7 +697,7 @@ class TestResolutions:
                     gens[0] = {**first, key: first.get(key, 0) + 1}
             return gens
 
-        monkeypatch.setattr(cohomology, "_choose_generators", tampered)
+        monkeypatch.setattr(resolutions, "_choose_generators", tampered)
         g = FiniteGroup.cyclic(4)
         with pytest.raises(ExactnessViolation, match=message):
             HyperTotal(g, one_term(trivial_module(g), 0), 2, resolution=SmallResolution(g))
@@ -883,6 +889,19 @@ class TestAbelianResolution:
         res.coords = [a[:1] + ({1: 2, 2: 1}.get(a[1], a[1]),) for a in res.coords]
         with pytest.raises(ExactnessViolation, match="contracting homotopy"):
             res.boundary(3)
+
+    def test_repeated_factor_coordinate(self, monkeypatch):
+        # two elements given the same coordinates: no numbering of the group
+        real = resolutions.factor_basis
+
+        def repeated(group):
+            orders, coords = real(group)
+            coords[-1] = coords[0]
+            return orders, coords
+
+        monkeypatch.setattr(resolutions, "factor_basis", repeated)
+        with pytest.raises(ExactnessViolation, match="factor coordinates do not number the group's elements"):
+            AbelianResolution(_primary_product((2, 4))).boundary(1)
 
     def test_group_and_resolution_form_no_cycle(self):
         import gc

@@ -585,6 +585,36 @@ def test_kernel_signatures_match_tracer_patch_points():
     assert a.mul(v) == h and list(pivots) == [(0, 0)]
 
 
+def test_traced_methods_and_cochain_differential_exist():
+    """Every method the benchmark tracer patches resolves, and the kernel benchmark's
+    `cochain_differential` still returns sparse columns."""
+    import ast
+    import importlib
+    import inspect
+    from pathlib import Path
+
+    from upic.cohomology import cochain_differential
+    from upic.groups import FiniteGroup
+    from upic.modules import trivial_module
+
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED_METHODS"]
+    ]
+    patched = set()
+    for module, cls_name, method, _ in traced:
+        cls = getattr(importlib.import_module(f"upic.{module}"), cls_name, None)
+        assert inspect.isclass(cls), (module, cls_name)
+        assert inspect.isfunction(getattr(cls, method, None)), (module, cls_name, method)
+        patched.add((module, cls_name, method))
+    assert {("cohomology", "HyperTotal", "__init__"), ("cohomology", "HyperTotal", "cohomology")} <= patched
+    c2 = FiniteGroup.cyclic(2)
+    d = cochain_differential(c2, trivial_module(c2), 1)
+    assert isinstance(d, SparseCols) and (d.rows, d.cols) == (1, 1)
+
+
 def test_public_constructor_copies_and_checks():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, [[1], [2, 3]])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 
@@ -91,6 +92,19 @@ class TestBuilding:
         doc["modules"]["zero"]["action"] = doc["modules"]["zero"]["action"][:1]
         with pytest.raises(ValidationError, match="generate"):
             parse_task_text(json.dumps(doc)).build()
+
+    @pytest.mark.parametrize("generator, shown", [("1", "'1'"), (True, "True"), (2, "2")])
+    def test_generator_must_be_an_element_index(self, capsys, tmp_path, generator, shown):
+        # over C2 the string "1" and true are not indices, although 1 is in range
+        doc = fixture_doc("norm_one_2")
+        doc["generators"] = [generator]
+        message = f"generator {shown}: need an integer element index in 0..1"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_task_text(json.dumps(doc)).build()
+        p = tmp_path / "bad.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(p)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_table_over_order_cap_rejected(self):
         doc = fixture_doc("norm_one_2")
@@ -346,6 +360,44 @@ class TestCLI:
         code, out, err = self.run_cli(capsys, "run", str(p))
         assert code == 4
         assert "over the limit" in err and out == ""
+
+    def test_oracle_mismatch_exit_4(self, capsys, tmp_path, monkeypatch):
+        # a wrong value is caught by the cyclic oracle: exit 4 and no records written
+        from upic import cli
+        from upic.intmatrix import AbelianInvariants
+
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": [[(i + j) % 3 for j in range(3)] for i in range(3)]},
+            "generators": [1],
+            "modules": {"Z": {"gens": 1, "relations": [], "action": [[[1]]]}},
+            "tasks": [{"op": "group_cohomology", "module": "Z", "degree": 2}],
+        }
+        p = tmp_path / "c3.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        out_path = tmp_path / "records.json"
+        monkeypatch.setattr(cli, "group_cohomology", lambda group, m, degree: AbelianInvariants(0, [2]))
+        code, out, err = self.run_cli(capsys, "run", str(p), "--oracle", "on", "--out", str(out_path))
+        assert code == 4
+        assert "cyclic oracle disagrees: oracle Z/3 vs computed Z/2" in err
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("name", ["biquadratic_norm_one", "quadratic_sign_stabilizer"])
+    def test_hypercohomology_op_matches_pic_and_brauer_a(self, capsys, tmp_path, name):
+        doc = fixture_doc(name)
+        doc["tasks"] += [{"op": "hypercohomology", "data": "D", "degree": d} for d in (1, 2)]
+        p = tmp_path / f"{name}.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = self.run_cli(capsys, "run", str(p), "--oracle", "on")
+        assert code == 0
+        value = {}
+        for line in out.splitlines():
+            label, rest = line.split("] ", 1)[1].split(" = ", 1)
+            value[label] = rest.split(" | ")[0]
+        assert value["H^1(D)"] == value["pic(D)"] == FIXTURE_EXPECTATIONS[name]["pic(D)"]
+        assert value["H^2(D)"] == value["brauer_a(D)"] == FIXTURE_EXPECTATIONS[name]["brauer_a(D)"]
+        if "upic_dual(D)" in FIXTURE_EXPECTATIONS[name]:
+            assert "oracle: dual sequence bookkeeping verified internally" in out
 
     @pytest.mark.parametrize("oracle", ["off", "on"])
     def test_invariant_beyond_int_str_limit(self, capsys, tmp_path, oracle):
