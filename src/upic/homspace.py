@@ -8,24 +8,18 @@ gives the Picard group and the algebraic Brauer group (up to a caveat that
 is echoed into every report rather than silently dropped), and its derived
 dual carries the topological invariants.
 
-The derived dual is computed twice, by design: once through the
-torsion-free resolution and termwise dual (exact), and once through the
-five-term dual sequence (rank and torsion-order bookkeeping).  Any
+The derived dual is computed twice, by design: once by universal
+coefficients from the complex's own H^0 and H^1 (exact), and once through
+the five-term dual sequence (rank and torsion-order bookkeeping).  Any
 disagreement is raised as an internal error, never returned as a value.
+`complexes.resolve_torsion_free` and `complexes.dual_complex` stay public:
+the dual of the resolution is the tested reference for the formula.
 """
 
 from __future__ import annotations
 
 from .cohomology import hypercohomology
-from .complexes import (
-    BoundedComplex,
-    ComplexMap,
-    cohomology_invariants,
-    dual_complex,
-    is_quasi_iso,
-    resolve_torsion_free,
-    two_term,
-)
+from .complexes import BoundedComplex, ComplexMap, cohomology_invariants, is_quasi_iso, two_term
 from .errors import ExactnessViolation, ValidationError
 from .groups import FiniteGroup
 from .intmatrix import (
@@ -145,19 +139,21 @@ def _dual_hom_map(data: HomSpaceData):
 def upic_dual(data: HomSpaceData) -> DualReport:
     """H^0 and H^-1 of RHom(complex, Z), exactly.
 
-    Primary route: torsion-free resolution, termwise dual, plain complex
-    cohomology.  When neither term has relation columns the complex is its
-    own resolution, so the termwise dual is taken of the complex itself.
+    Primary route: universal coefficients over Z, read off the complex's
+    own cohomology.  H^-1 = Hom(H^1, Z) is free of rank H^1, and
+    H^0 = Hom(H^0, Z) + Ext^1(H^1, Z) is free of rank H^0 plus the torsion
+    of H^1.  No resolution is built here: `dual_complex` of a
+    `resolve_torsion_free` source is the tested reference for the formula.
     Secondary route: the five-term dual sequence, which pins H^-1 exactly
     and constrains the rank and torsion order of H^0 (on a lattice complex
     the stabilizer torsion is trivial, so it pins the torsion order too).
     A failed cross-check is an internal error (ExactnessViolation).
     """
     complex_ = upic_complex(data)
-    psi = resolve_torsion_free(complex_)
-    dual = dual_complex(psi.source)
-    h0 = cohomology_invariants(dual, 0)
-    hminus1 = cohomology_invariants(dual, -1)
+    c0 = cohomology_invariants(complex_, 0)
+    c1 = cohomology_invariants(complex_, 1)
+    h0 = AbelianInvariants(c0.free_rank, c1.torsion)
+    hminus1 = AbelianInvariants(c1.free_rank)
 
     dmap, xh_diag = _dual_hom_map(data)
     kernel = kernel_basis(dmap)

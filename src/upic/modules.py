@@ -68,12 +68,6 @@ class PresentedModule:
     def action_of(self, g: int) -> IntMatrix:
         return self.action[g]
 
-    def in_relations(self, vec) -> bool:
-        return in_column_span(self.relations, [vec])
-
-    def congruent(self, x, y) -> bool:
-        return self.in_relations([a - b for a, b in zip(x, y)])
-
     def contains_columns(self, a: IntMatrix) -> bool:
         """Every column of `a` is zero in the module (lies in the relation lattice)."""
         if a.rows != self.gens:
@@ -104,7 +98,11 @@ class PresentedModule:
 
     def stabilizer(self, vec) -> list:
         """Elements g with g*vec congruent to vec."""
-        return [g for g in range(self.group.order) if self.congruent(self.action[g].apply(vec), vec)]
+        return [
+            g
+            for g in range(self.group.order)
+            if in_column_span(self.relations, [[a - b for a, b in zip(self.action[g].apply(vec), vec)]])
+        ]
 
     def __eq__(self, other):
         return (

@@ -410,6 +410,9 @@ class TestBruteForce:
 
 
 class TestHyper:
+    def test_degree_below_the_support_is_zero(self):
+        assert hypercohomology(C2, one_term(trivial_module(C2), 2), 1) == AbelianInvariants(0)
+
     def test_trivial_group_two_term(self):
         z = trivial_module(T)
         k = two_term(ModuleMap(z, z, IntMatrix(1, 1, [[2]])))

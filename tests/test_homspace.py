@@ -302,13 +302,15 @@ class TestDualPipeline:
         "degree, tamper",
         [
             (0, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
-            (0, lambda inv: AbelianInvariants(inv.free_rank, list(inv.torsion) + [2])),
-            (-1, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
+            (1, lambda inv: AbelianInvariants(inv.free_rank, list(inv.torsion) + [2])),
+            (1, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
         ],
         ids=["h0-rank", "h0-torsion", "hminus1"],
     )
     def test_tampered_dual_of_a_lattice_complex_is_caught(self, monkeypatch, degree, tamper):
-        """J_C4 is its own torsion-free resolution, so the five-term sequence alone checks its dual."""
+        """The dual is read off the complex's own H^0 and H^1, so tampering with either breaks it:
+        rank H^0(C) is rank H^0 of the dual, tors H^1(C) its torsion, rank H^1(C) the rank of H^-1.
+        The five-term sequence catches each."""
         import upic.homspace as homspace
 
         c4 = FiniteGroup.cyclic(4)
@@ -320,6 +322,49 @@ class TestDualPipeline:
         )
         with pytest.raises(ExactnessViolation):
             upic_dual(data)
+
+
+    def test_universal_coefficients_match_the_dual_of_the_resolution(self):
+        """h0 and hminus1 equal the cohomology of the termwise dual of a torsion-free resolution."""
+        from conftest import random_equivariant_map, random_lattice_with_relations, random_module
+
+        from upic.cli import FIXTURES, fixture_text
+        from upic.complexes import dual_complex, resolve_torsion_free
+        from upic.taskfile import parse_task_text
+
+        cases = [sln_normalizer_data()]
+        for name in FIXTURES:
+            cases.extend(parse_task_text(fixture_text(name)).build().homspace.values())
+        rng = random.Random(8080)
+        groups = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+        for trial in range(160):
+            group = groups[trial % len(groups)]
+            xg = random_lattice_with_relations(group, rng) if trial % 2 else random_module(group, rng, allow_torsion=False)
+            xh = random_module(group, rng, max_rank=3)
+            cases.append(HomSpaceData(group, xg, xh, random_equivariant_map(xg, xh, rng)))
+        assert any(data.xg.relations.cols for data in cases)
+        assert any(upic_dual(data).h0.torsion for data in cases)
+        for data in cases:
+            rep = upic_dual(data)
+            dual = dual_complex(resolve_torsion_free(upic_complex(data)).source)
+            assert rep.h0 == cohomology_invariants(dual, 0)
+            assert rep.hminus1 == cohomology_invariants(dual, -1)
+
+    def test_no_resolution_dual_or_cone_is_built(self, monkeypatch):
+        import upic.complexes as complexes
+        import upic.homspace as homspace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("upic_dual must not build a resolution, dual, cone or quasi-isomorphism test")
+
+        for name in ("resolve_torsion_free", "dual_complex", "cone", "is_quasi_iso"):
+            monkeypatch.setattr(complexes, name, refuse)
+        monkeypatch.setattr(homspace, "is_quasi_iso", refuse)
+        assert not hasattr(homspace, "resolve_torsion_free") and not hasattr(homspace, "dual_complex")
+        rep = upic_dual(sln_normalizer_data())
+        assert rep.h0 == AbelianInvariants(0, [2]) and rep.hminus1.is_trivial
+        c4 = FiniteGroup.cyclic(4)
+        assert upic_dual(make_data(c4, norm_one_lattice_of(c4), zero_module(c4))).h0 == AbelianInvariants(3)
 
 
 class TestTopologicalReport:

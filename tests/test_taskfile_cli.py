@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from upic import cohomology
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main, run_tasks
 from upic.cohomology import DEGREE_LIMIT
-from upic.errors import TaskFileError, ValidationError
+from upic.errors import TaskError, TaskFileError, ValidationError
 from upic.groups import FiniteGroup
 from upic.modules import PresentedModule, validate_module
 from upic.taskfile import OPS, parse_task_text
@@ -431,6 +431,55 @@ class TestCLI:
         assert code == 0
         assert "MISMATCH" not in out
         assert "biquadratic_norm_one: brauer_a(D) = Z/2 [ok]" in out
+
+    def test_fixtures_run_all_reports_a_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setitem(FIXTURE_EXPECTATIONS, "norm_one_3", {"pic(D)": "Z/9", "brauer_a(D)": "0"})
+        code, out, err = self.run_cli(capsys, "fixtures", "--run-all")
+        assert code == 4
+        assert "norm_one_3: pic(D) = Z/3 [MISMATCH (expected Z/9)]" in out
+        assert "norm_one_3: brauer_a(D) = 0 [ok]" in out
+        assert err.startswith("failures:")
+        assert "norm_one_3: pic(D) = Z/3, expected Z/9" in err
+
+    def test_fixtures_run_all_reports_a_task_error(self, capsys, monkeypatch):
+        import upic.cli as cli
+
+        real = cli.run_tasks
+
+        def failing(built, oracle):  # norm_one_5 is the one fixture over a group of order 5
+            if built.group.order == 5:
+                raise TaskError("injected failure")
+            return real(built, oracle)
+
+        monkeypatch.setattr(cli, "run_tasks", failing)
+        code, out, err = self.run_cli(capsys, "fixtures", "--run-all")
+        assert code == 4
+        assert "norm_one_5:" not in out
+        assert "norm_one_4: pic(D) = Z/4 [ok]" in out
+        assert "biquadratic_norm_one: brauer_a(D) = Z/2 [ok]" in out
+        assert err.startswith("failures:")
+        assert "norm_one_5: injected failure" in err and err.count("injected failure") == 1
+
+    def test_degree_below_the_support(self, capsys, tmp_path):
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": [[0, 1], [1, 0]]},
+            "generators": [1],
+            "modules": {
+                "zero": {"gens": 0, "relations": [], "action": [[]]},
+                "T2": {"gens": 1, "relations": [[2]], "action": [[[1]]]},
+            },
+            "maps": {"res": {"source": "zero", "target": "T2", "matrix": [[]]}},
+            "homspace": {"D": {"xg": "zero", "xh": "T2", "res": "res"}},
+            "comparisons": {},
+            "tasks": [{"op": "hypercohomology", "data": "D", "degree": 0}, {"op": "upic_dual", "data": "D"}],
+        }
+        p = tmp_path / "below.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p), "--oracle", "on")
+        assert code == 0, err
+        assert "H^0(D) = 0 | oracle: degree below the support; nothing to check" in out
+        assert "upic_dual(D) = H0=Z/2, H-1=0" in out
 
     def test_enumeration_oracle_note(self, capsys, tmp_path):
         doc = fixture_doc("biquadratic_norm_one")
