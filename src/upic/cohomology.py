@@ -20,7 +20,9 @@ DEGREE_LIMIT bounds the degree HyperTotal is asked for and
 COCHAIN_RANK_LIMIT the rank of the cochains it assembles, both before the
 work (`resolutions.RESOLUTION_BUILD_LIMIT` bounds the greedy route);
 ENUMERATION_LIMIT bounds the enumeration oracle.  The differentials are
-sparse columns and reach `cycle_lattice` in that form.
+sparse columns and reach `intmatrix` in that form: `free_cohomology` when
+Tot^(n+1) has no relation columns (then neither has Tot^n), else
+`cycle_lattice` and `subquotient_invariants`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .intmatrix import (
     IntMatrix,
     SparseCols,
     cycle_lattice,
+    free_cohomology,
     in_column_span,
     smith_normal_form,
     subquotient_invariants,
@@ -139,7 +142,15 @@ class HyperTotal:
 
     Lays out the summands Tot^n = (+)_q Hom_G(F_(n-q), K^q) for the degrees
     n0+1, n0, n0-1 needed to read off H^n0, once each, assembles D, and
-    verifies D composed with D vanishes modulo the relation lattice.  The
+    verifies D composed with D vanishes modulo the relation lattice.
+
+    Two routes read H^n0.  When no summand of Tot^(n0+1) has relation
+    columns, neither has Tot^n0 (each of its coefficient terms appears in
+    Tot^(n0+1) too), the relation block diagonals are not built (`rel_at`
+    and `rel_above` are None), every column of D*D must be zero, and
+    `free_cohomology` reads H^n0 off D's ranks and a Smith diagonal.
+    Otherwise the relations are laid out block by block, and
+    `cycle_lattice` and `subquotient_invariants` read H^n0.  The
     resolution defaults to the group's small resolution.  A degree over
     DEGREE_LIMIT raises BudgetExceeded before any resolution level is
     built, and a rank of Tot^(n0+1) over COCHAIN_RANK_LIMIT before any
@@ -170,8 +181,10 @@ class HyperTotal:
         below = self._layout(degree - 1)
         self.d_below = self._differential(below, at)
         self.d_at = self._differential(at, above)
-        self.rel_at = self._relations(at)
-        self.rel_above = self._relations(above)
+        if any(self.coeffs.term(q).relations.cols for q, _ in above[0]):
+            self.rel_at, self.rel_above = self._relations(at), self._relations(above)
+        else:
+            self.rel_at = self.rel_above = None
         self._check_square_zero()
 
     def _layout(self, n: int):
@@ -207,12 +220,15 @@ class HyperTotal:
 
     def _check_square_zero(self):
         square = self.d_at.compose(self.d_below)
-        if not in_column_span(self.rel_above, [square.column(c) for c, col in enumerate(square.entries) if col]):
+        nonzero = [square.column(c) for c, col in enumerate(square.entries) if col]
+        if nonzero and (self.rel_above is None or not in_column_span(self.rel_above, nonzero)):
             raise ExactnessViolation("total differential does not square to zero")
 
     def cohomology(self) -> AbelianInvariants:
         if self.d_at.cols == 0:
             return AbelianInvariants(0)
+        if self.rel_above is None:
+            return free_cohomology(self.d_at, self.d_below)
         cycles = cycle_lattice(self.d_at, self.rel_above)
         return subquotient_invariants(cycles, self.d_below.to_dense().hstack(self.rel_at))
 

@@ -17,12 +17,17 @@ algorithm depends on that ordering.
 
 `shift`, `trim` and `cone` build their output unchecked: it is valid when
 their input is (see `cone`).  Whether H^i = 0 is one membership test with
-no Smith form (`_cohomology_vanishes`).  A complex of lattices on a basis
-(no term has relation columns) is its own torsion-free resolution, and
-`resolve_torsion_free` returns the identity for it.  Any other complex is
-covered and coned, and certified once, at the end; the one final step
-adjoins the kernel lattice at the lowest degree when that term is a
-lattice on a basis, else one below.
+no Smith form (`_cohomology_vanishes`).  The invariants of H^i take one of
+two routes (`cohomology_invariants`): when C^(i+1) has no relation
+columns, `intmatrix.free_cohomology` reads them off ranks and a Smith
+diagonal, with the relations of C^i among the boundaries; otherwise they
+are read off the subquotient presentation that `cohomology` returns.
+
+A complex of lattices on a basis (no term has relation columns) is its
+own torsion-free resolution, and `resolve_torsion_free` returns the
+identity for it.  Any other complex is covered and coned, and certified
+once, at the end; the one final step adjoins the kernel lattice at the
+lowest degree when that term is a lattice on a basis, else one below.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .intmatrix import (
     IntMatrix,
     cokernel_invariants,
     cycle_lattice,
+    free_cohomology,
     in_column_span,
     smith_normal_form,
     solve_integer,
@@ -258,7 +264,16 @@ def cohomology(c: BoundedComplex, i: int):
 
 
 def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
-    return cokernel_invariants(cohomology(c, i)[1])
+    """Invariants of H^i(c), by `free_cohomology` when C^(i+1) has no relation columns.
+
+    The kernel of d_i is then saturated, and the degree-i relations join
+    the boundaries, as in `cohomology`, which serves every other case.
+    """
+    d = c.differential(i)
+    if d.target.relations.cols:
+        return cokernel_invariants(cohomology(c, i)[1])
+    boundaries, relations = c.differential(i - 1).matrix, d.source.relations
+    return free_cohomology(d.matrix, boundaries.hstack(relations) if relations.cols else boundaries)
 
 
 def _cohomology_vanishes(c: BoundedComplex, i: int) -> bool:

@@ -144,6 +144,9 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     H^0 = Hom(H^0, Z) + Ext^1(H^1, Z) is free of rank H^0 plus the torsion
     of H^1.  No resolution is built here: `dual_complex` of a
     `resolve_torsion_free` source is the tested reference for the formula.
+    `cohomology_invariants` reads each H^i by `free_cohomology` when
+    C^(i+1) has no relation columns (H^1 always, as C^2 = 0; H^0 when X(H)
+    is a lattice on a basis), else through the subquotient presentation.
     Secondary route: the five-term dual sequence, which pins H^-1 exactly
     and constrains the rank and torsion order of H^0 (on a lattice complex
     the stabilizer torsion is trivial, so it pins the torsion order too).

@@ -6,8 +6,8 @@ downstream (modules, complexes, cohomology) reduces to the operations in
 this module: Smith and Hermite forms, integer kernels, cycle lattices,
 image membership, and elementary-divisor invariants of cokernels and
 subquotients.  `SparseCols` holds the large, sparse cochain differentials;
-`cycle_lattice` eliminates their +-1 pivots on the sparse columns and
-hands only the remainder to the dense Hermite form.
+one routine, `_eliminate_unit_pivots`, splits their +-1 pivots off on the
+sparse columns, and only the remainder reaches a dense form.
 
 A Smith diagonal (`smith_diagonal`, `SmithDecomposition.diagonal`) has
 one entry per row of its matrix: the order of that Smith coordinate of
@@ -15,6 +15,14 @@ the cokernel, 0 for a free Z.  A subquotient Z/B is given by two matrices
 in the same ambient coordinates, the columns of `cycles` spanning Z and
 those of `boundaries` spanning B; `subquotient_relations` presents it on
 the cycle columns and `subquotient_invariants` reads its invariants.
+
+Cohomology ker(d_out) / im(d_in) has two routes, chosen by whether the
+target of d_out has relation columns.  With none, the kernel of d_out is
+saturated and `free_cohomology` reads the quotient off ranks and one
+Smith diagonal, with no transforms and no solves; relations of the middle
+term join the columns of d_in.  Otherwise `cycle_lattice` builds the
+cycles, with transforms, and `subquotient_invariants` reads the quotient;
+that general route is also the tested reference for the free one.
 
 A lattice, fixed or growing, is a `LatticeSpan`: sparse basis vectors
 kept in column Hermite form, the normal form `kernels.hnf_cols` gives, so
@@ -211,10 +219,7 @@ class SparseCols:
     @classmethod
     def from_dense(cls, a: IntMatrix) -> "SparseCols":
         out = cls(a.rows, a.cols)
-        for i, row in enumerate(a.data):
-            for j, x in enumerate(row):
-                if x:
-                    out.entries[j][i] = x
+        out.entries = _sparse_columns(a)
         return out
 
     def add(self, r: int, c: int, v: int):
@@ -446,36 +451,35 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return _wrap(a.cols, a.cols - first_free, [row[first_free:] for row in v.data])
 
 
-def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> IntMatrix:
-    """Hermite basis of {x : d*x lies in the column span of target_relations}.
+def _sparse_columns(d: IntMatrix | SparseCols) -> list:
+    """The columns of `d` as fresh {row: value} dicts."""
+    if isinstance(d, SparseCols):
+        return [dict(c) for c in d.entries]
+    cols, span = [{} for _ in range(d.cols)], range(d.cols)
+    for i, row in enumerate(d.data):
+        for j in compress(span, row):
+            cols[j][i] = row[j]
+    return cols
 
-    `d` is an `IntMatrix` or a `SparseCols`.  The lattice is the kernel of
-    [d | -target_relations] projected onto its first d.cols coordinates.
-    The stacked matrix is held as sparse columns, and for each unit pivot
-    (r, c), taken in the sparsest column first and within it on the row
-    with the fewest nonzeros, row r is cleared from every other column by
-    unimodular column operations.  The pivot column then cannot carry a
-    kernel vector; a column that becomes zero is one.  Only the columns
-    left without a unit entry go to a dense `kernel_basis`.  Each column
-    carries the projection of its transform, which maps every kernel
-    vector back; one Hermite form of the spanning set gives the canonical
-    basis, returned with its own Hermite form attached.
+
+def _eliminate_unit_pivots(cols: list, trans: list | None = None):
+    """Split the +-1 pivots off the sparse columns `cols`, in place.
+
+    For each unit pivot (r, c), taken in the sparsest column first and
+    within it on the row with the fewest nonzeros, row r is cleared from
+    every other column by unimodular column operations, applied to the
+    transform columns `trans` too when given.  Row operations through row
+    r would then touch column c only, so the pivot splits off as a 1 of the
+    Smith form: the columns left, on the rows left, keep the rest of the
+    Smith diagonal.  Returns the number of pivots, the columns that are or
+    become zero (in the order found), and the sorted indices of the other
+    columns left, none of which has a unit entry.
     """
-    if target_relations.rows != d.rows:
-        raise ValueError("row count mismatch between d and the relations")
-    n = d.cols
-    sparse = d if isinstance(d, SparseCols) else SparseCols.from_dense(d)
-    cols = [dict(c) for c in sparse.entries]
-    for rel in target_relations.columns():
-        cols.append({i: -x for i, x in enumerate(rel) if x})
-    # the relation coordinates project to zero
-    trans = [{j: 1} for j in range(n)] + [{} for _ in range(target_relations.cols)]
     row_cols = {}
     for j, col in enumerate(cols):
         for r in col:
             row_cols.setdefault(r, set()).add(j)
-
-    spanning = []
+    pivots, zero = 0, []
     active = set(range(len(cols)))
     heap = [(len(col), j) for j, col in enumerate(cols)]
     heapq.heapify(heap)
@@ -486,18 +490,17 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
             continue  # pivoted already, or changed and pushed again
         if not col:
             active.discard(c)
-            if trans[c]:
-                spanning.append(trans[c])
+            zero.append(c)
             continue
         units = [r for r, x in col.items() if x == 1 or x == -1]
         if not units:
             continue  # pushed again if a later pivot changes it
         r = min(units, key=lambda i: (len(row_cols[i]), i))
         active.discard(c)
+        pivots += 1
         for i in col:
             row_cols[i].discard(c)
         unit = col.pop(r)
-        tc = trans[c]
         for k in row_cols.pop(r):
             ck = cols[k]
             q = ck.pop(r) * unit
@@ -510,21 +513,56 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
                 else:
                     del ck[i]
                     row_cols[i].discard(k)
-            tk = trans[k]
-            for j, x in tc.items():
-                nv = tk.get(j, 0) - q * x
-                if nv:
-                    tk[j] = nv
-                else:
-                    del tk[j]
+            if trans is not None:
+                tk = trans[k]
+                for j, x in trans[c].items():
+                    nv = tk.get(j, 0) - q * x
+                    if nv:
+                        tk[j] = nv
+                    else:
+                        del tk[j]
             heapq.heappush(heap, (len(ck), k))
+    return pivots, zero, sorted(active)
 
-    rest = sorted(active)
+
+def _remainder(cols: list, rest: list) -> IntMatrix:
+    """The columns `rest` of `cols` as a dense matrix on the rows where they are nonzero."""
+    rows = {i: t for t, i in enumerate(sorted({i for k in rest for i in cols[k]}))}
+    data = [[0] * len(rest) for _ in rows]
+    for t, k in enumerate(rest):
+        for i, x in cols[k].items():
+            data[rows[i]][t] = x
+    return _wrap(len(rows), len(rest), data)
+
+
+def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> IntMatrix:
+    """Hermite basis of {x : d*x lies in the column span of target_relations}.
+
+    The general route to cycles, for a target with relation columns; over
+    a target without them, cohomology is read off `free_cohomology`
+    instead.  `d` is an `IntMatrix` or a `SparseCols`.  The lattice is the
+    kernel of [d | -target_relations] projected onto its first d.cols
+    coordinates.  The stacked matrix is held as sparse columns and its
+    unit pivots are eliminated (`_eliminate_unit_pivots`); a pivot column
+    then cannot carry a kernel vector, and a column that becomes zero is
+    one.  Only the columns left without a unit entry go to a dense
+    `kernel_basis`.  Each column carries the projection of its transform,
+    which maps every kernel vector back; one Hermite form of the spanning
+    set gives the canonical basis, returned with its own Hermite form
+    attached.
+    """
+    if target_relations.rows != d.rows:
+        raise ValueError("row count mismatch between d and the relations")
+    n = d.cols
+    cols = _sparse_columns(d)
+    for rel in target_relations.columns():
+        cols.append({i: -x for i, x in enumerate(rel) if x})
+    # the relation coordinates project to zero
+    trans = [{j: 1} for j in range(n)] + [{} for _ in range(target_relations.cols)]
+    _, zero, rest = _eliminate_unit_pivots(cols, trans)
+    spanning = [trans[c] for c in zero if trans[c]]
     if rest:
-        rows = {i: t for t, i in enumerate(sorted({i for k in rest for i in cols[k]}))}
-        remainder = SparseCols(len(rows), len(rest))
-        remainder.entries = [{rows[i]: x for i, x in cols[k].items()} for k in rest]
-        for y in kernel_basis(remainder.to_dense()).columns():
+        for y in kernel_basis(_remainder(cols, rest)).columns():
             v = {}
             for yk, k in zip(y, rest):
                 if yk:
@@ -540,6 +578,37 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
     # a copy of the rows, so that the cache does not refer back to `out`
     out._hnf_cache = (_wrap(n, rank, [row[:] for row in out.data]), IntMatrix.identity(rank), pivots)
     return out
+
+
+def free_cohomology(d_out: IntMatrix | SparseCols, d_in: IntMatrix | SparseCols) -> AbelianInvariants:
+    """Invariants of ker(d_out) / im(d_in) for maps of free modules with d_out * d_in == 0.
+
+    The route for a target of d_out without relation columns, with no
+    transforms and no solves; relations of the middle term come in as
+    columns of d_in.  The kernel of d_out is saturated, so the quotient is
+    Z^(n - rank d_out - rank d_in) plus the torsion of coker d_in, with
+    n = d_out.cols = d_in.rows.  The unit pivots of each matrix are
+    eliminated first (`_eliminate_unit_pivots`).  rank d_out is their
+    count plus the Hermite pivots of the remainder; d_in adds its count to
+    the nonzero entries of the remainder's Smith diagonal, taken with no
+    more rows than columns, whose entries over 1 are the torsion.  The
+    product is not checked here: `HyperTotal` checks D*D == 0, and a valid
+    complex has d*d == 0 and maps relations to relations.
+    """
+    if d_out.cols != d_in.rows:
+        raise ValueError("d_out and d_in do not compose")
+    cols = [c for c in _sparse_columns(d_out) if c]  # zero columns add nothing to a rank
+    rank_out, _, rest = _eliminate_unit_pivots(cols)
+    if rest:
+        rank_out += len(_remainder(cols, rest).hermite()[2])
+    cols = [c for c in _sparse_columns(d_in) if c]
+    rank_in, _, rest = _eliminate_unit_pivots(cols)
+    diag = []
+    if rest:
+        m = _remainder(cols, rest)
+        diag = smith_diagonal(m if m.rows <= m.cols else m.transpose())
+    rank_in += len(diag) - diag.count(0)
+    return AbelianInvariants(d_out.cols - rank_out - rank_in, [x for x in diag if x > 1])
 
 
 def in_column_span(a: IntMatrix, vectors) -> bool:

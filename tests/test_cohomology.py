@@ -21,7 +21,15 @@ from upic.cohomology import (
 from upic.complexes import BoundedComplex, one_term, two_term, zero_complex
 from upic.errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
 from upic.groups import ORDER_CAP, FiniteGroup
-from upic.intmatrix import AbelianInvariants, IntMatrix, smith_normal_form, unimodular_inverse
+from upic.intmatrix import (
+    AbelianInvariants,
+    IntMatrix,
+    cycle_lattice,
+    free_cohomology,
+    smith_normal_form,
+    subquotient_invariants,
+    unimodular_inverse,
+)
 from upic.modules import (
     ModuleMap,
     finite_cyclic_module,
@@ -30,6 +38,7 @@ from upic.modules import (
     norm_one_lattice_of,
     regular_module,
     trivial_module,
+    zero_module,
 )
 from upic.resolutions import RESOLUTION_BUILD_LIMIT, AbelianResolution, SmallResolution, small_resolution
 
@@ -526,6 +535,24 @@ class TestHyper:
         with pytest.raises(ExactnessViolation, match="total differential does not square to zero"):
             HyperTotal(C2, k, degree)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_square_zero_check_fails_modulo_relations(self, degree):
+        # the same with Z/3 on top: the relation lattice is built, and 2 is outside it
+        z, z3 = trivial_module(C2), finite_cyclic_module(C2, 3)
+        diffs = [ModuleMap(z, z, IntMatrix(1, 1, [[2]])), ModuleMap(z, z3, IntMatrix(1, 1, [[1]]))]
+        k = BoundedComplex(C2, 0, [z, z, z3], diffs, check=False)
+        with pytest.raises(ExactnessViolation, match="total differential does not square to zero"):
+            HyperTotal(C2, k, degree)
+
+    def test_square_zero_check_reads_the_relations(self):
+        # Z --2--> Z --1--> Z/2: d d = 2 vanishes modulo the relations of the top term
+        z, z2 = trivial_module(C2), finite_cyclic_module(C2, 2)
+        diffs = [ModuleMap(z, z, IntMatrix(1, 1, [[2]])), ModuleMap(z, z2, IntMatrix(1, 1, [[1]]))]
+        k = BoundedComplex(C2, 0, [z, z, z2], diffs)
+        ht = HyperTotal(C2, k, 1)
+        assert ht.rel_above is not None and ht.rel_above.cols
+        assert ht.cohomology() == _bar_route(C2, k, 1)
+
     def test_les_order_bookkeeping(self, rng):
         # For the triple H^(i-1)(B) -> H^i(K) -> H^i(A), exactness at the
         # middle forces |H^i(K)| to divide the product of the outer orders;
@@ -965,3 +992,40 @@ class TestAbelianResolution:
         elapsed = time.perf_counter() - start
         assert value.free_rank == 0 and value.torsion and all(g.order % t == 0 for t in value.torsion)
         assert elapsed < 2.0, f"H^{DEGREE_LIMIT} of {chain} took {elapsed:.2f}s"
+
+
+class TestFreeRoute:
+    """On lattice coefficients HyperTotal reads H^n off ranks and a Smith diagonal (`free_cohomology`)."""
+
+    @pytest.mark.parametrize("name", list(dict.fromkeys([*AGREEMENT_GROUPS, *ABELIAN_CHAINS, "S4"])))
+    def test_matches_the_subquotient_route(self, name):
+        """Every relation-free total complex that pic and brauer_a on J_G, or H^0-H^4 of trivial Z, reach
+        (S4 up to H^3: its H^4 needs F_5, about 10 s to build)."""
+        if name == "S4":
+            g = FiniteGroup.symmetric(4)
+        else:
+            g = AGREEMENT_GROUPS.get(name) or _primary_product(ABELIAN_CHAINS[name])
+        j = norm_one_lattice_of(g)
+        cases = [(one_term(trivial_module(g), 0), range(4 if name == "S4" else 5))]
+        cases.append((two_term(ModuleMap.zero(j, zero_module(g))), (1, 2)))
+        for k, degrees in cases:
+            for degree in degrees:
+                ht = HyperTotal(g, k, degree)
+                assert ht.rel_at is None and ht.rel_above is None
+                want = subquotient_invariants(
+                    cycle_lattice(ht.d_at, IntMatrix.zeros(ht.d_at.rows, 0)), ht.d_below.to_dense()
+                )
+                assert free_cohomology(ht.d_at, ht.d_below) == want
+                assert ht.cohomology() == want, (degree, want.render())
+
+    def test_lattices_build_no_relation_lattice(self, monkeypatch):
+        def refuse(self, layout):
+            raise AssertionError("relation block diagonal built for lattice coefficients")
+
+        monkeypatch.setattr(HyperTotal, "_relations", refuse)
+        g = FiniteGroup.cyclic(4)
+        j = norm_one_lattice_of(g)
+        k = two_term(ModuleMap.zero(j, zero_module(g)))
+        assert [hypercohomology(g, k, d) for d in (1, 2)] == [AbelianInvariants(0, [4]), AbelianInvariants(0)]
+        with pytest.raises(AssertionError, match="relation block diagonal"):
+            group_cohomology(g, finite_cyclic_module(g, 2), 1)

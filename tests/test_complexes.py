@@ -178,6 +178,22 @@ def seeded_complexes_and_maps(rng, trials=15):
     return complexes, maps
 
 
+class TestCohomologyRoutes:
+    def test_free_route_matches_the_subquotient_presentation(self, rng):
+        """cohomology_invariants takes free_cohomology whenever C^(i+1) has no relation columns, with
+        C^i's relations among the boundaries; `cohomology`'s presentation is the reference."""
+        complexes, maps = seeded_complexes_and_maps(rng)
+        routes = {"free": 0, "relations folded": 0, "subquotient": 0}
+        for c in complexes + [cone(phi) for phi in maps]:
+            for i in range(c.lowest_degree - 1, c.highest_degree + 2):
+                assert cohomology_invariants(c, i) == cokernel_invariants(cohomology(c, i)[1])
+                if c.term(i + 1).relations.cols:
+                    routes["subquotient"] += 1
+                else:
+                    routes["relations folded" if c.term(i).relations.cols else "free"] += 1
+        assert all(routes.values()), routes
+
+
 class TestAcyclicity:
     """The membership test agrees with the invariants of every H^i, and cones need no check."""
 

@@ -324,6 +324,26 @@ class TestDualPipeline:
             upic_dual(data)
 
 
+    @pytest.mark.parametrize("name", ["norm_one_4", "sln_normalizer", "quadratic_sign_stabilizer"])
+    def test_wrong_free_cohomology_is_caught_by_the_dual_sequence(self, monkeypatch, name):
+        """A wrong free_cohomology value breaks the five-term check: on J_C4 -> 0 both degrees take
+        the free route, on [0 -> Z/2] and [0 -> Z/4] H^1 does (C^2 = 0), with Z/n's relation among
+        the boundaries."""
+        import upic.complexes as complexes
+        from upic.cli import fixture_text
+        from upic.taskfile import parse_task_text
+
+        data = parse_task_text(fixture_text(name)).build().homspace["D"]
+        upic_dual(data)
+        real = complexes.free_cohomology
+        monkeypatch.setattr(
+            complexes,
+            "free_cohomology",
+            lambda d_out, d_in: AbelianInvariants(real(d_out, d_in).free_rank + 1, real(d_out, d_in).torsion),
+        )
+        with pytest.raises(ExactnessViolation):
+            upic_dual(data)
+
     def test_universal_coefficients_match_the_dual_of_the_resolution(self):
         """h0 and hminus1 equal the cohomology of the termwise dual of a torsion-free resolution."""
         from conftest import random_equivariant_map, random_lattice_with_relations, random_module

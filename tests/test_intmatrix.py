@@ -12,6 +12,7 @@ from upic.intmatrix import (
     SparseCols,
     cokernel_invariants,
     cycle_lattice,
+    free_cohomology,
     in_column_span,
     kernel_basis,
     smith_diagonal,
@@ -381,6 +382,78 @@ def test_cycle_lattice_matches_dense_reference(pool):
         want = dense_cycle_lattice(d, rel)
         assert cycle_lattice(d, rel) == want
         assert cycle_lattice(SparseCols.from_dense(d), rel) == want
+
+
+def subquotient_route(d_out, d_in):
+    """The general route to ker(d_out) / im(d_in): cycle lattice, solves, Smith form."""
+    dense = d_in.to_dense() if isinstance(d_in, SparseCols) else d_in
+    return subquotient_invariants(cycle_lattice(d_out, IntMatrix.zeros(d_out.rows, 0)), dense)
+
+
+BIG = 2**64
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.integers(0, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_free_cohomology_matches_the_subquotient_route(n, a, b, structured, seed):
+    """Free complexes Z^a -> Z^n -> Z^b with entries past 64 bits; d_out spans part of the left kernel of d_in."""
+    from conftest import random_unimodular_pair
+
+    rng = random.Random(seed)
+    pool = [0, 0, 0, 1, -1, 2, -3, 6, BIG + 1, -3 * BIG]
+    if structured and n and a:
+        # u * diag * v: torsion with huge elementary divisors, hidden by the unimodular mixing
+        u, _ = random_unimodular_pair(n, rng)
+        v, _ = random_unimodular_pair(a, rng)
+        diag = [rng.choice([0, 1, 2, 6, BIG, 3 * BIG * BIG]) for _ in range(min(n, a))]
+        d_in = u.mul(IntMatrix.diagonal(n, a, diag)).mul(v)
+    else:
+        d_in = IntMatrix(n, a, [[rng.choice(pool) for _ in range(a)] for _ in range(n)])
+    left = kernel_basis(d_in.transpose())
+    mix = IntMatrix(b, left.cols, [[rng.choice(pool) for _ in range(left.cols)] for _ in range(b)])
+    d_out = mix.mul(left.transpose())
+    assert d_out.mul(d_in).is_zero()
+    want = subquotient_route(d_out, d_in)
+    assert free_cohomology(d_out, d_in) == want
+    assert free_cohomology(SparseCols.from_dense(d_out), SparseCols.from_dense(d_in)) == want
+
+
+def _c2_power_differentials(k: int, degree: int):
+    from upic.cohomology import HyperTotal
+    from upic.complexes import one_term
+    from upic.groups import FiniteGroup
+    from upic.modules import trivial_module
+
+    g, c2 = FiniteGroup.trivial(), FiniteGroup.cyclic(2)
+    for _ in range(k):
+        g = g.direct_product(c2)
+    ht = HyperTotal(g, one_term(trivial_module(g), 0), degree)
+    return ht.d_at, ht.d_below
+
+
+@pytest.mark.parametrize(
+    "d_out, d_in, want",
+    [
+        (IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), AbelianInvariants(3)),  # 0-row d_out, 0-column d_in
+        (IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 4), AbelianInvariants(0)),  # n = 0
+        (IntMatrix(1, 2, [[1, 2]]), IntMatrix.zeros(2, 3), AbelianInvariants(1)),  # d_in = 0
+        (IntMatrix.zeros(2, 3), IntMatrix(3, 1, [[2], [4], [0]]), AbelianInvariants(2, [2])),  # d_out = 0
+        (IntMatrix.zeros(3, 2), IntMatrix.identity(2).scale(2), AbelianInvariants(0, [2, 2])),  # 2I: no unit entry
+        (IntMatrix.identity(3).scale(2), IntMatrix.zeros(3, 2), AbelianInvariants(0)),
+        (*_c2_power_differentials(4, 4), AbelianInvariants(0, [2] * 14)),  # trivial Z over C2^4: entries 0 and +-2
+        (*_c2_power_differentials(4, 3), AbelianInvariants(0, [2] * 6)),
+    ],
+    ids=["no-rows", "zero-term", "d_in-zero", "d_out-zero", "2I-in", "2I-out", "C2^4-H4", "C2^4-H3"],
+)
+def test_free_cohomology_edge_shapes_and_no_unit_entries(d_out, d_in, want):
+    if isinstance(d_out, SparseCols):
+        assert {abs(x) for m in (d_out, d_in) for col in m.entries for x in col.values()} == {2}
+    assert free_cohomology(d_out, d_in) == subquotient_route(d_out, d_in) == want
+
+
+def test_free_cohomology_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError):
+        free_cohomology(IntMatrix.zeros(1, 2), IntMatrix.zeros(3, 1))
 
 
 def test_unimodular_inverse():

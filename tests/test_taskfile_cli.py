@@ -382,6 +382,19 @@ class TestCLI:
         assert "cyclic oracle disagrees: oracle Z/3 vs computed Z/2" in err
         assert out == "" and not out_path.exists()
 
+    def test_wrong_lattice_cohomology_is_caught_by_the_oracle(self, capsys, tmp_path, monkeypatch):
+        # the lattice route (free_cohomology) against the cyclic oracle's subquotient route
+        from upic import cohomology
+        from upic.intmatrix import AbelianInvariants
+
+        real = cohomology.free_cohomology
+        monkeypatch.setattr(
+            cohomology, "free_cohomology", lambda d_out, d_in: AbelianInvariants(real(d_out, d_in).free_rank + 1)
+        )
+        code, out, err = self.run_cli(capsys, "run", self.fixture_path(tmp_path, "norm_one_4"), "--oracle", "on")
+        assert code == 4
+        assert "cyclic oracle disagrees: oracle Z/4 vs computed Z" in err
+
     @pytest.mark.parametrize("name", ["biquadratic_norm_one", "quadratic_sign_stabilizer"])
     def test_hypercohomology_op_matches_pic_and_brauer_a(self, capsys, tmp_path, name):
         doc = fixture_doc(name)
