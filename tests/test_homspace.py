@@ -334,7 +334,7 @@ class TestDualPipeline:
         from upic.taskfile import parse_task_text
 
         data = parse_task_text(fixture_text(name)).build().homspace["D"]
-        upic_dual(data)
+        assert upic_dual(data).hminus1.is_trivial
         real = complexes.free_cohomology
         monkeypatch.setattr(
             complexes,

@@ -393,7 +393,7 @@ class TestCLI:
         )
         code, out, err = self.run_cli(capsys, "run", self.fixture_path(tmp_path, "norm_one_4"), "--oracle", "on")
         assert code == 4
-        assert "cyclic oracle disagrees: oracle Z/4 vs computed Z" in err
+        assert "cyclic oracle disagrees: oracle Z/4 vs computed Z\n" in err
 
     @pytest.mark.parametrize("name", ["biquadratic_norm_one", "quadratic_sign_stabilizer"])
     def test_hypercohomology_op_matches_pic_and_brauer_a(self, capsys, tmp_path, name):
