@@ -13,8 +13,9 @@ For a bounded complex of coefficients the total complex carries
 D = (-1)^q delta + d_coefficient on the (p, q) summand, so for a two-term
 complex [A -f-> B> this reads D(alpha, beta) = (delta alpha, f(alpha) -
 delta beta).  D*D = 0 is machine-checked on every instance before any
-invariant is reported.  Group cohomology is the one-term case: the module
-placed in degree 0.
+invariant is reported, and a value above the complex's top degree must be
+finite of exponent dividing |G| (`hypercohomology`).  Group cohomology is
+the one-term case: the module placed in degree 0.
 
 DEGREE_LIMIT bounds the degree HyperTotal is asked for and
 COCHAIN_RANK_LIMIT the rank of the cochains it assembles, both before the
@@ -234,10 +235,21 @@ class HyperTotal:
 
 
 def hypercohomology(group: FiniteGroup, coeffs: BoundedComplex, degree: int) -> AbelianInvariants:
-    """H^degree of the group valued in a bounded complex of modules."""
+    """H^degree of the group valued in a bounded complex of modules.
+
+    Above the complex's highest degree the value is checked to be finite
+    of exponent dividing |G|: cor o res is multiplication by |G|, and
+    res lands in H^degree(1, coeffs) = 0 there.  A value that fails is
+    an ExactnessViolation, never returned.
+    """
     if degree < min(coeffs.degrees(), default=0):
         return AbelianInvariants(0)
-    return HyperTotal(group, coeffs, degree).cohomology()
+    value = HyperTotal(group, coeffs, degree).cohomology()
+    if degree > coeffs.highest_degree and (value.free_rank or any(group.order % t for t in value.torsion)):
+        raise ExactnessViolation(
+            f"H^{degree} = {value.render()} is not killed by |G| = {group.order} above the coefficients' top degree"
+        )
+    return value
 
 
 def group_cohomology(group: FiniteGroup, m: PresentedModule, degree: int) -> AbelianInvariants:

@@ -268,6 +268,9 @@ def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
 
     The kernel of d_i is then saturated, and the degree-i relations join
     the boundaries, as in `cohomology`, which serves every other case.
+    Callers: the torus comparison, whose degree-0 terms may have torsion,
+    and `is_quasi_iso`; on `homspace.upic_complex` it is the tested
+    reference for `homspace.upic_dual`'s own formula.
     """
     d = c.differential(i)
     if d.target.relations.cols:

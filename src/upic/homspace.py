@@ -9,11 +9,13 @@ is echoed into every report rather than silently dropped), and its derived
 dual carries the topological invariants.
 
 The derived dual is computed twice, by design: once by universal
-coefficients from the complex's own H^0 and H^1 (exact), and once through
-the five-term dual sequence (rank and torsion-order bookkeeping).  Any
-disagreement is raised as an internal error, never returned as a value.
-`complexes.resolve_torsion_free` and `complexes.dual_complex` stay public:
-the dual of the resolution is the tested reference for the formula.
+coefficients from the complex's own H^0 and H^1 (exact; H^1 off one Smith
+diagonal, rank H^0 off the Euler characteristic, `_complex_cohomology`),
+and once through the five-term dual sequence (rank and torsion-order
+bookkeeping).  Any disagreement is raised as an internal error, never
+returned as a value.  `complexes.cohomology_invariants` and the dual of a
+`complexes.resolve_torsion_free` resolution stay public: they are the
+tested references for the formula.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .intmatrix import (
     IntMatrix,
     cokernel_invariants,
     kernel_basis,
+    smith_diagonal,
     smith_normal_form,
 )
 from .modules import ModuleMap, PresentedModule, direct_sum, lattice_form, validate_module
@@ -136,29 +139,38 @@ def _dual_hom_map(data: HomSpaceData):
     return functionals.mul(data.res.matrix).mul(from_g.matrix).transpose(), diag
 
 
+def _complex_cohomology(data: HomSpaceData, rank_g: int, rank_h: int):
+    """H^0 and H^1 of [X(G) -> X(H)], given the ranks of the two modules.
+
+    H^1 = Z^b / span[res | R_H], with R_H the relations of X(H), is read off
+    that matrix's own Smith diagonal, with no transforms.  H^0 is the kernel
+    of a map out of a lattice, so it is free, and the Euler characteristic
+    over Q gives its rank: rank X(G) - rank X(H) + rank H^1.
+    """
+    diag = smith_diagonal(data.res.matrix.hstack(data.xh.relations))
+    h1 = AbelianInvariants(diag.count(0), [d for d in diag if d > 1])
+    return AbelianInvariants(rank_g - rank_h + h1.free_rank), h1
+
+
 def upic_dual(data: HomSpaceData) -> DualReport:
     """H^0 and H^-1 of RHom(complex, Z), exactly.
 
     Primary route: universal coefficients over Z, read off the complex's
     own cohomology.  H^-1 = Hom(H^1, Z) is free of rank H^1, and
     H^0 = Hom(H^0, Z) + Ext^1(H^1, Z) is free of rank H^0 plus the torsion
-    of H^1.  No resolution is built here: `dual_complex` of a
-    `resolve_torsion_free` source is the tested reference for the formula.
-    `cohomology_invariants` reads each H^i by `free_cohomology` when
-    C^(i+1) has no relation columns (H^1 always, as C^2 = 0; H^0 when X(H)
-    is a lattice on a basis), else through the subquotient presentation.
+    of H^1.  `_complex_cohomology` reads H^1 off one Smith diagonal and
+    rank H^0 off the Euler characteristic; it shares only the ranks of the
+    two input modules with the check below.  No resolution is built here.
     Secondary route: the five-term dual sequence, which pins H^-1 exactly
     and constrains the rank and torsion order of H^0 (on a lattice complex
     the stabilizer torsion is trivial, so it pins the torsion order too).
     A failed cross-check is an internal error (ExactnessViolation).
     """
-    complex_ = upic_complex(data)
-    c0 = cohomology_invariants(complex_, 0)
-    c1 = cohomology_invariants(complex_, 1)
+    dmap, xh_diag = _dual_hom_map(data)
+    c0, c1 = _complex_cohomology(data, dmap.rows, dmap.cols)
     h0 = AbelianInvariants(c0.free_rank, c1.torsion)
     hminus1 = AbelianInvariants(c1.free_rank)
 
-    dmap, xh_diag = _dual_hom_map(data)
     kernel = kernel_basis(dmap)
     kernel_inv = AbelianInvariants(kernel.cols)
     coker_inv = cokernel_invariants(dmap)

@@ -129,6 +129,28 @@ class TestPicBrauer:
         assert pic(d).value == AbelianInvariants(0, [2, 2])
         assert brauer_a(d).value == AbelianInvariants(0, [2])
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion),
+            lambda inv: AbelianInvariants(inv.free_rank, [3 * t for t in inv.torsion] or [3]),
+        ],
+        ids=["free", "torsion-not-dividing-order"],
+    )
+    def test_tampered_brauer_a_fails_the_exponent_check(self, monkeypatch, tamper):
+        """Above the complex's top degree cor o res = |G| kills the value: Br_a of J_C4 read as Z or
+        as Z/3 is refused, while the same tamper on Pic (degree 1, not above the top) goes through."""
+        import upic.cohomology as cohomology
+
+        c4 = FiniteGroup.cyclic(4)
+        d = make_data(c4, norm_one_lattice(4), zero_module(c4))
+        assert brauer_a(d).value.is_trivial
+        real = cohomology.free_cohomology
+        monkeypatch.setattr(cohomology, "free_cohomology", lambda d_out, d_in: tamper(real(d_out, d_in)))
+        assert pic(d).value == tamper(AbelianInvariants(0, [4]))
+        with pytest.raises(ExactnessViolation, match="not killed by"):
+            brauer_a(d)
+
     def test_brauer_a_is_schur_multiplier(self):
         # brauer_a on J_G = H^2(G, J_G) = H^3(G, Z), the Schur multiplier of G
         c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
@@ -299,15 +321,15 @@ class TestDualPipeline:
         assert runs == 14
 
     @pytest.mark.parametrize(
-        "degree, tamper",
+        "tamper",
         [
-            (0, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
-            (1, lambda inv: AbelianInvariants(inv.free_rank, list(inv.torsion) + [2])),
-            (1, lambda inv: AbelianInvariants(inv.free_rank + 1, inv.torsion)),
+            lambda c0, c1: (AbelianInvariants(c0.free_rank + 1, c0.torsion), c1),
+            lambda c0, c1: (c0, AbelianInvariants(c1.free_rank, list(c1.torsion) + [2])),
+            lambda c0, c1: (c0, AbelianInvariants(c1.free_rank + 1, c1.torsion)),
         ],
         ids=["h0-rank", "h0-torsion", "hminus1"],
     )
-    def test_tampered_dual_of_a_lattice_complex_is_caught(self, monkeypatch, degree, tamper):
+    def test_tampered_dual_of_a_lattice_complex_is_caught(self, monkeypatch, tamper):
         """The dual is read off the complex's own H^0 and H^1, so tampering with either breaks it:
         rank H^0(C) is rank H^0 of the dual, tors H^1(C) its torsion, rank H^1(C) the rank of H^-1.
         The five-term sequence catches each."""
@@ -316,52 +338,32 @@ class TestDualPipeline:
         c4 = FiniteGroup.cyclic(4)
         data = make_data(c4, norm_one_lattice_of(c4), zero_module(c4))
         assert upic_dual(data).h0 == AbelianInvariants(3)
-        real = homspace.cohomology_invariants
-        monkeypatch.setattr(
-            homspace, "cohomology_invariants", lambda c, i: tamper(real(c, i)) if i == degree else real(c, i)
-        )
+        real = homspace._complex_cohomology
+        monkeypatch.setattr(homspace, "_complex_cohomology", lambda *args: tamper(*real(*args)))
         with pytest.raises(ExactnessViolation):
             upic_dual(data)
 
-
     @pytest.mark.parametrize("name", ["norm_one_4", "sln_normalizer", "quadratic_sign_stabilizer"])
     def test_wrong_free_cohomology_is_caught_by_the_dual_sequence(self, monkeypatch, name):
-        """A wrong free_cohomology value breaks the five-term check: on J_C4 -> 0 both degrees take
-        the free route, on [0 -> Z/2] and [0 -> Z/4] H^1 does (C^2 = 0), with Z/n's relation among
-        the boundaries."""
-        import upic.complexes as complexes
+        """A Smith diagonal for H^1(C) with one zero entry too many (one more free Z in H^1, and by
+        the Euler characteristic in H^0) breaks the five-term check: on J_C4 -> 0, whose H^1 is 0,
+        and on [0 -> Z/2] and [0 -> Z/4], where Z/n's relation sits next to the restriction map."""
+        import upic.homspace as homspace
         from upic.cli import fixture_text
         from upic.taskfile import parse_task_text
 
         data = parse_task_text(fixture_text(name)).build().homspace["D"]
         assert upic_dual(data).hminus1.is_trivial
-        real = complexes.free_cohomology
-        monkeypatch.setattr(
-            complexes,
-            "free_cohomology",
-            lambda d_out, d_in: AbelianInvariants(real(d_out, d_in).free_rank + 1, real(d_out, d_in).torsion),
-        )
+        real = homspace.smith_diagonal
+        monkeypatch.setattr(homspace, "smith_diagonal", lambda a: real(a) + [0])
         with pytest.raises(ExactnessViolation):
             upic_dual(data)
 
     def test_universal_coefficients_match_the_dual_of_the_resolution(self):
         """h0 and hminus1 equal the cohomology of the termwise dual of a torsion-free resolution."""
-        from conftest import random_equivariant_map, random_lattice_with_relations, random_module
-
-        from upic.cli import FIXTURES, fixture_text
         from upic.complexes import dual_complex, resolve_torsion_free
-        from upic.taskfile import parse_task_text
 
-        cases = [sln_normalizer_data()]
-        for name in FIXTURES:
-            cases.extend(parse_task_text(fixture_text(name)).build().homspace.values())
-        rng = random.Random(8080)
-        groups = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
-        for trial in range(160):
-            group = groups[trial % len(groups)]
-            xg = random_lattice_with_relations(group, rng) if trial % 2 else random_module(group, rng, allow_torsion=False)
-            xh = random_module(group, rng, max_rank=3)
-            cases.append(HomSpaceData(group, xg, xh, random_equivariant_map(xg, xh, rng)))
+        cases = _dual_corpus()
         assert any(data.xg.relations.cols for data in cases)
         assert any(upic_dual(data).h0.torsion for data in cases)
         for data in cases:
@@ -369,6 +371,23 @@ class TestDualPipeline:
             dual = dual_complex(resolve_torsion_free(upic_complex(data)).source)
             assert rep.h0 == cohomology_invariants(dual, 0)
             assert rep.hminus1 == cohomology_invariants(dual, -1)
+
+    def test_complex_cohomology_matches_the_complex_route(self):
+        """The Smith-diagonal and Euler-characteristic formula equals H^0 and H^1 of upic_complex read
+        by the general complex machinery, with the module ranks taken from their own presentations."""
+        from upic.homspace import _complex_cohomology
+
+        cases = _dual_corpus()
+        assert any(data.xg.relations.cols for data in cases)
+        assert any(data.xh.underlying_invariants().torsion for data in cases)
+        assert any(cohomology_invariants(upic_complex(data), 1).torsion for data in cases)
+        for data in cases:
+            ranks = data.xg.underlying_invariants().free_rank, data.xh.underlying_invariants().free_rank
+            complex_ = upic_complex(data)
+            assert _complex_cohomology(data, *ranks) == (
+                cohomology_invariants(complex_, 0),
+                cohomology_invariants(complex_, 1),
+            )
 
     def test_no_resolution_dual_or_cone_is_built(self, monkeypatch):
         import upic.complexes as complexes
@@ -385,6 +404,52 @@ class TestDualPipeline:
         assert rep.h0 == AbelianInvariants(0, [2]) and rep.hminus1.is_trivial
         c4 = FiniteGroup.cyclic(4)
         assert upic_dual(make_data(c4, norm_one_lattice_of(c4), zero_module(c4))).h0 == AbelianInvariants(3)
+
+    def test_no_complex_cohomology_is_run(self, monkeypatch):
+        """H^0 and H^1 of the complex come from `_complex_cohomology` alone: no cycle lattice, no
+        subquotient and no free_cohomology of the general machinery."""
+        import upic.cohomology as cohomology
+        import upic.complexes as complexes
+        import upic.homspace as homspace
+        import upic.intmatrix as intmatrix
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("upic_dual must not read the complex's cohomology through the general route")
+
+        sln = sln_normalizer_data()
+        c4 = FiniteGroup.cyclic(4)
+        j_c4 = make_data(c4, norm_one_lattice_of(c4), zero_module(c4))
+        patched = 0
+        for module in (intmatrix, complexes, cohomology, homspace):
+            for name in ("cohomology_invariants", "free_cohomology", "cycle_lattice", "subquotient_relations"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+                    patched += 1
+        assert patched >= 8
+        rep = upic_dual(sln)
+        assert rep.h0 == AbelianInvariants(0, [2]) and rep.hminus1.is_trivial
+        assert upic_dual(j_c4).h0 == AbelianInvariants(3)
+
+
+def _dual_corpus() -> list:
+    """sln_normalizer, every fixture's lattice data, and 160 seeded inputs over C1-C6, V4 and S3,
+    with X(G) presented with and without relation columns and X(H) with torsion allowed."""
+    from conftest import random_equivariant_map, random_lattice_with_relations, random_module
+
+    from upic.cli import FIXTURES, fixture_text
+    from upic.taskfile import parse_task_text
+
+    cases = [sln_normalizer_data()]
+    for name in FIXTURES:
+        cases.extend(parse_task_text(fixture_text(name)).build().homspace.values())
+    rng = random.Random(8080)
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+    for trial in range(160):
+        group = groups[trial % len(groups)]
+        xg = random_lattice_with_relations(group, rng) if trial % 2 else random_module(group, rng, allow_torsion=False)
+        xh = random_module(group, rng, max_rank=3)
+        cases.append(HomSpaceData(group, xg, xh, random_equivariant_map(xg, xh, rng)))
+    return cases
 
 
 class TestTopologicalReport:

@@ -382,6 +382,32 @@ class TestCLI:
         assert "cyclic oracle disagrees: oracle Z/3 vs computed Z/2" in err
         assert out == "" and not out_path.exists()
 
+    def test_group_cohomology_failing_the_exponent_check_exit_4(self, capsys, tmp_path, monkeypatch):
+        # without an oracle a free H^2(C3, Z) is still refused: above degree 0 |G| kills the value
+        from upic import cohomology
+        from upic.intmatrix import AbelianInvariants
+
+        doc = {
+            "format": "upic-task-v1",
+            "group": {"table": [[(i + j) % 3 for j in range(3)] for i in range(3)]},
+            "generators": [1],
+            "modules": {"Z": {"gens": 1, "relations": [], "action": [[[1]]]}},
+            "tasks": [{"op": "group_cohomology", "module": "Z", "degree": 2}],
+        }
+        p = tmp_path / "c3.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        out_path = tmp_path / "records.json"
+        real = cohomology.free_cohomology
+        monkeypatch.setattr(
+            cohomology,
+            "free_cohomology",
+            lambda d_out, d_in: AbelianInvariants(real(d_out, d_in).free_rank + 1, real(d_out, d_in).torsion),
+        )
+        code, out, err = self.run_cli(capsys, "run", str(p), "--out", str(out_path))
+        assert code == 4
+        assert "task error: H^2 = Z x Z/3 is not killed by |G| = 3" in err
+        assert out == "" and not out_path.exists()
+
     def test_wrong_lattice_cohomology_is_caught_by_the_oracle(self, capsys, tmp_path, monkeypatch):
         # the lattice route (free_cohomology) against the cyclic oracle's subquotient route
         from upic import cohomology
