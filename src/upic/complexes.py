@@ -17,11 +17,9 @@ algorithm depends on that ordering.
 
 `shift`, `trim` and `cone` build their output unchecked: it is valid when
 their input is (see `cone`).  Whether H^i = 0 is one membership test with
-no Smith form (`_cohomology_vanishes`).  The invariants of H^i take one of
-two routes (`cohomology_invariants`): when C^(i+1) has no relation
-columns, `intmatrix.free_cohomology` reads them off ranks and a Smith
-diagonal, with the relations of C^i among the boundaries; otherwise they
-are read off the subquotient presentation that `cohomology` returns.
+no Smith form (`_cohomology_vanishes`); the invariants of H^i are read
+off the subquotient presentation that `cohomology` returns
+(`cohomology_invariants`).
 
 A complex of lattices on a basis (no term has relation columns) is its
 own torsion-free resolution, and `resolve_torsion_free` returns the
@@ -45,7 +43,6 @@ from .intmatrix import (
     IntMatrix,
     cokernel_invariants,
     cycle_lattice,
-    free_cohomology,
     in_column_span,
     smith_normal_form,
     solve_integer,
@@ -264,19 +261,13 @@ def cohomology(c: BoundedComplex, i: int):
 
 
 def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
-    """Invariants of H^i(c), by `free_cohomology` when C^(i+1) has no relation columns.
+    """Invariants of H^i(c), read off the presentation `cohomology` returns.
 
-    The kernel of d_i is then saturated, and the degree-i relations join
-    the boundaries, as in `cohomology`, which serves every other case.
     Callers: the torus comparison, whose degree-0 terms may have torsion,
     and `is_quasi_iso`; on `homspace.upic_complex` it is the tested
     reference for `homspace.upic_dual`'s own formula.
     """
-    d = c.differential(i)
-    if d.target.relations.cols:
-        return cokernel_invariants(cohomology(c, i)[1])
-    boundaries, relations = c.differential(i - 1).matrix, d.source.relations
-    return free_cohomology(d.matrix, boundaries.hstack(relations) if relations.cols else boundaries)
+    return cokernel_invariants(cohomology(c, i)[1])
 
 
 def _cohomology_vanishes(c: BoundedComplex, i: int) -> bool:
@@ -404,41 +395,19 @@ def _canonical_class_generators(c: BoundedComplex, i: int) -> list:
     return [cycles.apply(u_inv.column(idx)) for idx, d in enumerate(s.diagonal()) if d != 1]
 
 
-def _solve_action(basis: IntMatrix, moved: IntMatrix) -> IntMatrix:
-    """X with basis * X == moved, column by column."""
-    cols = []
-    for col in moved.columns():
-        x = solve_integer(basis, col)
-        if x is None:
-            raise ExactnessViolation("kernel lattice is not action-stable")
-        cols.append(x)
-    return IntMatrix.from_columns(basis.cols, cols)
-
-
 def _kernel_lattice_module(bottom: PresentedModule, basis: IntMatrix) -> PresentedModule:
     """The action of `bottom` restricted to the lattice spanned by the columns of `basis`.
 
-    X_g solves basis * X_g == rho(g) * basis, uniquely: the columns are
-    independent.  A valid, relation-free `bottom` acts by a homomorphism, so
-    X_g is solved on the generators only and extended along breadth-first
-    words, X_(s x) = X_s X_x (basis X_s X_x = rho(s) basis X_x = rho(sx)
-    basis), and the result is valid by construction (the word argument in
-    `upic.modules`).  Any other `bottom` has every X_g solved; no validity
-    is claimed.
+    X_g solves basis * X_g == rho(g) * basis for every element g, uniquely:
+    the columns are independent.
     """
-    group = bottom.group
-    if bottom._violations != () or bottom.relations.cols:
-        return free_module(group, [_solve_action(basis, rho.mul(basis)) for rho in bottom.action])
-    gens = group.generators()
-    xs = {group.identity: IntMatrix.identity(basis.cols)}
-    for s in gens:
-        xs[s] = _solve_action(basis, bottom.action[s].mul(basis))
-    for y, i, x in group.breadth_first_words(gens):
-        if y not in xs:
-            xs[y] = xs[gens[i]].mul(xs[x])
-    a_prime = free_module(group, [xs[g] for g in range(group.order)])
-    a_prime._violations = ()
-    return a_prime
+    action = []
+    for rho in bottom.action:
+        cols = [solve_integer(basis, col) for col in rho.mul(basis).columns()]
+        if None in cols:
+            raise ExactnessViolation("kernel lattice is not action-stable")
+        action.append(IntMatrix.from_columns(basis.cols, cols))
+    return free_module(bottom.group, action)
 
 
 def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:

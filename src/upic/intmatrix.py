@@ -16,13 +16,13 @@ in the same ambient coordinates, the columns of `cycles` spanning Z and
 those of `boundaries` spanning B; `subquotient_relations` presents it on
 the cycle columns and `subquotient_invariants` reads its invariants.
 
-Cohomology ker(d_out) / im(d_in) has two routes, chosen by whether the
-target of d_out has relation columns.  With none, the kernel of d_out is
-saturated and `free_cohomology` reads the quotient off ranks and one
-Smith diagonal, with no transforms and no solves; relations of the middle
-term join the columns of d_in.  Otherwise `cycle_lattice` builds the
-cycles, with transforms, and `subquotient_invariants` reads the quotient;
-that general route is also the tested reference for the free one.
+`cohomology.HyperTotal`, the one caller of `free_cohomology`, reads
+cohomology ker(d_out) / im(d_in) by one of two routes, chosen by whether
+the target of d_out has relation columns.  With none, ker(d_out) is
+saturated and `free_cohomology` reads the quotient off ranks and one Smith
+diagonal, with no transforms or solves; relations of the middle term join
+the columns of d_in.  Otherwise `cycle_lattice` builds the cycles and
+`subquotient_invariants` reads the quotient: the free route's reference.
 
 A lattice, fixed or growing, is a `LatticeSpan`: sparse basis vectors
 kept in column Hermite form, the normal form `kernels.hnf_cols` gives, so
@@ -538,18 +538,17 @@ def _remainder(cols: list, rest: list) -> IntMatrix:
 def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> IntMatrix:
     """Hermite basis of {x : d*x lies in the column span of target_relations}.
 
-    The general route to cycles, for a target with relation columns; over
-    a target without them, cohomology is read off `free_cohomology`
-    instead.  `d` is an `IntMatrix` or a `SparseCols`.  The lattice is the
-    kernel of [d | -target_relations] projected onto its first d.cols
-    coordinates.  The stacked matrix is held as sparse columns and its
-    unit pivots are eliminated (`_eliminate_unit_pivots`); a pivot column
-    then cannot carry a kernel vector, and a column that becomes zero is
-    one.  Only the columns left without a unit entry go to a dense
-    `kernel_basis`.  Each column carries the projection of its transform,
-    which maps every kernel vector back; one Hermite form of the spanning
-    set gives the canonical basis, returned with its own Hermite form
-    attached.
+    The general route to cycles: `HyperTotal` reads cohomology over a target
+    without relation columns off `free_cohomology` instead.  `d` is an
+    `IntMatrix` or a `SparseCols`.  The lattice is the kernel of
+    [d | -target_relations] projected onto its first d.cols coordinates.
+    The stacked matrix is held as sparse columns and its unit pivots are
+    eliminated (`_eliminate_unit_pivots`); a pivot column then cannot carry a
+    kernel vector, and a column that becomes zero is one.  Only the columns
+    left without a unit entry go to a dense `kernel_basis`.  Each column
+    carries the projection of its transform, which maps every kernel vector
+    back; one Hermite form of the spanning set gives the canonical basis,
+    returned with its own Hermite form attached.
     """
     if target_relations.rows != d.rows:
         raise ValueError("row count mismatch between d and the relations")
@@ -583,17 +582,17 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
 def free_cohomology(d_out: IntMatrix | SparseCols, d_in: IntMatrix | SparseCols) -> AbelianInvariants:
     """Invariants of ker(d_out) / im(d_in) for maps of free modules with d_out * d_in == 0.
 
-    The route for a target of d_out without relation columns, with no
-    transforms and no solves; relations of the middle term come in as
-    columns of d_in.  The kernel of d_out is saturated, so the quotient is
-    Z^(n - rank d_out - rank d_in) plus the torsion of coker d_in, with
-    n = d_out.cols = d_in.rows.  The unit pivots of each matrix are
-    eliminated first (`_eliminate_unit_pivots`).  rank d_out is their
-    count plus the Hermite pivots of the remainder; d_in adds its count to
-    the nonzero entries of the remainder's Smith diagonal, taken with no
-    more rows than columns, whose entries over 1 are the torsion.  The
-    product is not checked here: `HyperTotal` checks D*D == 0, and a valid
-    complex has d*d == 0 and maps relations to relations.
+    `HyperTotal`'s route, and its only use, for a target of d_out without
+    relation columns, with no transforms and no solves; relations of the
+    middle term come in as columns of d_in.  The kernel of d_out is saturated,
+    so the quotient is Z^(n - rank d_out - rank d_in) plus the torsion of
+    coker d_in, with n = d_out.cols = d_in.rows.  The unit pivots of each
+    matrix are eliminated first (`_eliminate_unit_pivots`).  rank d_out is
+    their count plus the Hermite pivots of the remainder; d_in adds its count
+    to the nonzero entries of the remainder's Smith diagonal, taken with no
+    more rows than columns, whose entries over 1 are the torsion.  The product
+    is not checked here: `HyperTotal` checks D*D == 0, and a valid complex has
+    d*d == 0 and maps relations to relations.
     """
     if d_out.cols != d_in.rows:
         raise ValueError("d_out and d_in do not compose")

@@ -5,19 +5,8 @@ integer action matrix per group element; every congruence below is taken
 modulo the relation columns.  Torsion is allowed, so character groups of
 disconnected stabilizers fit alongside honest lattices.
 
-A module's `_violations` keeps what `validate_module` found: None until it
-has run, and `()` for a valid module.  Besides `validate_module`, only the
-constructors here whose output is valid by construction set `()`:
-`induced_module` and `zero_module` (a group table is validated when the
-group is built), `direct_sum_many` when every summand carries `()`, and
-`lattice_form` and `dual_lattice` when their input does; so does the
-kernel-lattice module of `complexes.resolve_torsion_free` over a valid,
-relation-free bottom module.  That bottom is the permutation cover
-attached above it plus, when the caller's lowest term is a lattice on a
-basis, that lattice, so it is valid once the caller's lattice has been
-validated.  The public `PresentedModule(...)` constructor never sets it,
-so every module a caller builds is checked.  `zero_module` is one object
-per group, kept on the group.
+A module's `_violations` keeps what `validate_module` found, None until it
+has run; nothing else sets it, whoever built the module.
 
 A group acts through a generating set, so validity is checked there when
 it can be (see `FiniteGroup.generators`).  With the identity acting
@@ -155,7 +144,6 @@ def zero_module(group: FiniteGroup) -> PresentedModule:
     m = group._zero_module
     if m is None:
         m = PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
-        m._violations = ()
         group._zero_module = m
     return m
 
@@ -195,9 +183,7 @@ def induced_module(group: FiniteGroup, subgroup_elems) -> PresentedModule:
         for j, coset in enumerate(cosets):
             mat[where[group.mul(g, coset[0])]][j] = 1
         action.append(IntMatrix(k, k, mat))
-    m = free_module(group, action)
-    m._violations = ()  # a permutation action through a validated group table
-    return m
+    return free_module(group, action)
 
 
 def regular_module(group: FiniteGroup) -> PresentedModule:
@@ -225,8 +211,6 @@ def lattice_form(m: PresentedModule):
     from_mat = IntMatrix.from_columns(m.gens, [u_inv.column(i) for i in free_idx])
     action = [to_mat.mul(m.action_of(g)).mul(from_mat) for g in range(m.group.order)]
     free = free_module(m.group, action)
-    if m._violations == ():
-        free._violations = ()
     return free, ModuleMap(m, free, to_mat), ModuleMap(free, m, from_mat)
 
 
@@ -234,10 +218,7 @@ def dual_lattice(m: PresentedModule) -> PresentedModule:
     """Hom(-, Z) of a torsion-free module, with the contragredient action."""
     free, _, _ = lattice_form(m)
     action = [free.action_of(free.group.inv(g)).transpose() for g in range(free.group.order)]
-    dual = free_module(m.group, action)
-    if free._violations == ():
-        dual._violations = ()
-    return dual
+    return free_module(m.group, action)
 
 
 def norm_one_lattice_of(group: FiniteGroup) -> PresentedModule:
@@ -290,15 +271,12 @@ def direct_sum_many(mods) -> PresentedModule:
     nonzero = [m for m in mods if m.gens or m.relations.cols]
     if len(nonzero) <= 1:
         return nonzero[0] if nonzero else mods[0]
-    out = PresentedModule(
+    return PresentedModule(
         group,
         sum(m.gens for m in mods),
         IntMatrix.block_diagonal([m.relations for m in mods]),
         [IntMatrix.block_diagonal([m.action[g] for m in mods]) for g in range(group.order)],
     )
-    if all(m._violations == () for m in mods):
-        out._violations = ()
-    return out
 
 
 def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:

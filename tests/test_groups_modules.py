@@ -541,11 +541,42 @@ class TestGeneratorValidation:
             built = induced + [zero_module(group), direct_sum_many(induced + [zero_module(group)])]
             built += [lattice_form(lattice)[0], dual_lattice(lattice), dual_lattice(induced[-1])]
             for m in built:
-                assert m._violations == ()
+                assert validate_module(m) == []
                 assert full_validate_module(m) == []
-            # a module no check has seen passes its state on to nothing
+            # modules built from one that no check has seen are valid all the same
             unseen = random_module(group, rng, allow_torsion=False)
-            assert unseen._violations is None
-            assert direct_sum_many([induced[0], unseen])._violations is None
-            assert lattice_form(random_lattice_with_relations(group, rng))[0]._violations is None
-            assert dual_lattice(unseen)._violations is None
+            assert validate_module(unseen) == []
+            assert validate_module(direct_sum_many([induced[0], unseen])) == []
+            assert validate_module(lattice_form(random_lattice_with_relations(group, rng))[0]) == []
+            assert validate_module(dual_lattice(unseen)) == []
+
+    def test_only_the_checks_mark_validity(self):
+        """`_violations` is set to anything but None only by `validate_module` and `ModuleMap.validate`,
+        so no constructor can hand back a module or map that skips its check."""
+        import ast
+        from pathlib import Path
+
+        import upic
+
+        writers = set()
+        for path in sorted(Path(upic.__file__).parent.glob("*.py")):
+            stack = []
+
+            def visit(node):
+                named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                if named:
+                    stack.append(node.name)
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    none = isinstance(node.value, ast.Constant) and node.value.value is None
+                    for target in targets:
+                        for sub in ast.walk(target):
+                            if isinstance(sub, ast.Attribute) and sub.attr == "_violations" and not none:
+                                writers.add((path.name, ".".join(stack)))
+                for child in ast.iter_child_nodes(node):
+                    visit(child)
+                if named:
+                    stack.pop()
+
+            visit(ast.parse(path.read_text()))
+        assert writers == {("modules.py", "validate_module"), ("modules.py", "ModuleMap.validate")}
