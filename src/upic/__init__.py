@@ -2,10 +2,15 @@
 
 The public layers, bottom up: exact integer linear algebra (`intmatrix`),
 finite groups and presented modules (`groups`, `modules`), bounded
-complexes with cones, resolutions, and duals (`complexes`), group and
-hypercohomology over free resolutions with independent oracles
-(`cohomology`, `resolutions`), and the invariant pipelines (`homspace`).
-The `upic` command drives everything from declarative task files.
+complexes with cones, cohomology and the quasi-isomorphism test
+(`complexes`), group and hypercohomology over free resolutions with
+independent oracles (`cohomology`, `resolutions`), and the invariant
+pipelines (`homspace`).  The `upic` command drives everything from
+declarative task files.
+
+`upic.reference` holds what only the tests run (shifts, fibres, the
+torsion-free resolution, the termwise dual and collapse); neither this
+package nor the `upic` command imports it.
 """
 
 __version__ = "0.1.0"
@@ -27,7 +32,6 @@ from .groups import FiniteGroup
 from .modules import (
     ModuleMap,
     PresentedModule,
-    dual_lattice,
     induced_module,
     norm_one_lattice,
     norm_one_lattice_of,
@@ -39,17 +43,11 @@ from .modules import (
 from .complexes import (
     BoundedComplex,
     ComplexMap,
-    TwoTermSES,
     cohomology,
     cohomology_invariants,
-    collapse,
     cone,
-    dual_complex,
-    fibre,
     is_quasi_iso,
     one_term,
-    resolve_torsion_free,
-    shift,
     two_term,
 )
 from .cohomology import (
@@ -80,19 +78,14 @@ __all__ = [
     "PresentedModule",
     "SmithDecomposition",
     "TorusComparisonData",
-    "TwoTermSES",
     "backend_name",
     "brauer_a",
     "cohomology",
     "cohomology_invariants",
     "cokernel_invariants",
-    "collapse",
     "cone",
     "cycle_lattice",
     "cyclic_oracle",
-    "dual_complex",
-    "dual_lattice",
-    "fibre",
     "finite_coeff_bruteforce",
     "group_cohomology",
     "hypercohomology",
@@ -105,8 +98,6 @@ __all__ = [
     "one_term",
     "pic",
     "regular_module",
-    "resolve_torsion_free",
-    "shift",
     "smith_normal_form",
     "solve_integer",
     "subquotient_invariants",

@@ -3,7 +3,8 @@
 Elements are indices 0..order-1.  Tables are validated on construction
 (associativity, two-sided identity, inverses), which is cubic in the
 order and affordable at the intended scale: task files are capped at
-ORDER_CAP elements, and their modules at rank MODULE_RANK_CAP.
+ORDER_CAP elements, their permutations at PERMUTATION_DEGREE_CAP points,
+and their modules at rank MODULE_RANK_CAP.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .errors import NotASubgroup, ValidationError
 ORDER_CAP = 48
 # Largest module rank a task file may declare: room for Z[G] + Z[G] at ORDER_CAP.
 MODULE_RANK_CAP = 2 * ORDER_CAP
+# Largest permutation degree a task file may give: every group within ORDER_CAP
+# acts faithfully on ORDER_CAP points (regular action); closure costs order^2 * degree.
+PERMUTATION_DEGREE_CAP = 2 * ORDER_CAP
 
 
 class FiniteGroup:
@@ -87,6 +91,8 @@ class FiniteGroup:
         if not perms:
             raise ValueError("need at least one permutation")
         deg = len(perms[0])
+        if deg > PERMUTATION_DEGREE_CAP:
+            raise ValidationError([f"permutation degree {deg} exceeds the degree cap {PERMUTATION_DEGREE_CAP}"])
         for p in perms:
             if len(p) != deg or sorted(p) != list(range(deg)):
                 raise ValidationError([f"not a permutation of 0..{deg - 1}: {p}"])

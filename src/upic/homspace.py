@@ -13,9 +13,9 @@ coefficients from the complex's own H^0 and H^1 (exact; H^1 off one Smith
 diagonal, rank H^0 off the Euler characteristic, `_complex_cohomology`),
 and once through the five-term dual sequence (rank and torsion-order
 bookkeeping).  Any disagreement is raised as an internal error, never
-returned as a value.  The subquotient presentation of `complexes.cohomology`
-(`cohomology_invariants`) and the dual of a `resolve_torsion_free`
-resolution stay public: they are the tested references for the formula.
+returned as a value.  The tested references for the formula are
+`complexes.cohomology_invariants` and the termwise dual of a resolution in
+`upic.reference`, which runs only in the tests.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .intmatrix import (
     IntMatrix,
     AbelianInvariants,
     cokernel_invariants,
-    cycle_lattice,
     in_column_span,
     smith_diagonal,
     smith_normal_form,
@@ -84,14 +83,6 @@ class PresentedModule:
 
     def underlying_invariants(self) -> AbelianInvariants:
         return cokernel_invariants(self.relations)
-
-    def stabilizer(self, vec) -> list:
-        """Elements g with g*vec congruent to vec."""
-        return [
-            g
-            for g in range(self.group.order)
-            if in_column_span(self.relations, [[a - b for a, b in zip(self.action[g].apply(vec), vec)]])
-        ]
 
     def __eq__(self, other):
         return (
@@ -214,13 +205,6 @@ def lattice_form(m: PresentedModule):
     return free, ModuleMap(m, free, to_mat), ModuleMap(free, m, from_mat)
 
 
-def dual_lattice(m: PresentedModule) -> PresentedModule:
-    """Hom(-, Z) of a torsion-free module, with the contragredient action."""
-    free, _, _ = lattice_form(m)
-    action = [free.action_of(free.group.inv(g)).transpose() for g in range(free.group.order)]
-    return free_module(m.group, action)
-
-
 def norm_one_lattice_of(group: FiniteGroup) -> PresentedModule:
     """Quotient of the regular lattice by the all-ones norm vector.
 
@@ -277,13 +261,6 @@ def direct_sum_many(mods) -> PresentedModule:
         IntMatrix.block_diagonal([m.relations for m in mods]),
         [IntMatrix.block_diagonal([m.action[g] for m in mods]) for g in range(group.order)],
     )
-
-
-def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:
-    """Same generators and action, with extra relator columns folded in."""
-    if extra.rows != m.gens:
-        raise ValidationError(["extra relators must live in the generator space"])
-    return PresentedModule(m.group, m.gens, m.relations.hstack(extra), m.action)
 
 
 class ModuleMap:
@@ -348,20 +325,6 @@ class ModuleMap:
 
     def neg(self) -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.matrix.neg())
-
-    def kernel_lattice(self) -> IntMatrix:
-        """Basis of {x : matrix*x lies in the target relation lattice}."""
-        return cycle_lattice(self.matrix, self.target.relations)
-
-    def is_injective(self) -> bool:
-        return self.source.contains_columns(self.kernel_lattice())
-
-    def is_surjective(self) -> bool:
-        wide = self.matrix.hstack(self.target.relations)
-        return in_column_span(wide, IntMatrix.identity(self.target.gens).data)
-
-    def is_zero_map(self) -> bool:
-        return self.target.contains_columns(self.matrix)
 
     def __repr__(self):
         return f"ModuleMap({self.source.gens}->{self.target.gens})"

@@ -15,7 +15,6 @@ from upic.intmatrix import IntMatrix, cycle_lattice, subquotient_invariants
 from upic.modules import (
     ModuleMap,
     PresentedModule,
-    add_relations,
     direct_sum_many,
     equivariant_by_transfer,
     induced_module,
@@ -23,6 +22,7 @@ from upic.modules import (
     regular_module,
     trivial_module,
 )
+from upic.reference import add_relations
 
 
 def random_unimodular_pair(n: int, rng: random.Random, steps: int = None):

@@ -307,7 +307,8 @@ def _sign_character(group):
 def _search_cases(rng):
     """Z/n with the trivial and a sign action, and seeded modules of rank at most 2 in a random basis."""
     from conftest import random_module
-    from upic.modules import PresentedModule, add_relations
+    from upic.modules import PresentedModule
+    from upic.reference import add_relations
 
     groups = {
         "C2": C2,
@@ -458,7 +459,7 @@ class TestHyper:
     def test_shift_compatibility(self, rng):
         # H^n of K shifted by one equals H^(n+1) of K
         from conftest import random_cyclic_module, random_equivariant_map
-        from upic.complexes import shift
+        from upic.reference import shift
 
         c3 = FiniteGroup.cyclic(3)
         a = random_cyclic_module(3, rng, max_rank=2)

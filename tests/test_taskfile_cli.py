@@ -13,7 +13,7 @@ from upic import cohomology
 from upic.cli import FIXTURES, FIXTURE_EXPECTATIONS, fixture_text, main, run_tasks
 from upic.cohomology import DEGREE_LIMIT
 from upic.errors import TaskError, TaskFileError, ValidationError
-from upic.groups import FiniteGroup
+from upic.groups import PERMUTATION_DEGREE_CAP, FiniteGroup
 from upic.modules import PresentedModule, validate_module
 from upic.taskfile import OPS, parse_task_text
 
@@ -212,6 +212,32 @@ class TestCLI:
         code, _, err = self.run_cli(capsys, "run", str(p))
         assert code == 3
         assert "validation error" in err and "XT" in err
+
+    def test_permutations_at_the_degree_cap_run(self, capsys, tmp_path):
+        """C2 as a transposition of PERMUTATION_DEGREE_CAP points gives what its table gives."""
+        doc = fixture_doc("norm_one_2")
+        p = tmp_path / "table.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        expected = self.run_cli(capsys, "run", str(p))
+        doc["group"] = {"permutations": [[1, 0] + list(range(2, PERMUTATION_DEGREE_CAP))]}
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.run_cli(capsys, "run", str(p)) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize("degree", [PERMUTATION_DEGREE_CAP + 1, 100_000])
+    def test_permutations_over_the_degree_cap_exit_3(self, capsys, tmp_path, degree):
+        """Refused before closure: an order-48 group (a 16-cycle times a 3-cycle) on 100,000 points
+        would take seconds to close, the time growing with the degree."""
+        doc = fixture_doc("norm_one_2")
+        perm = list(range(1, 16)) + [0, 17, 18, 16] + list(range(19, degree))
+        doc["group"] = {"permutations": [perm]}
+        p = tmp_path / "wide.task"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, _, err = self.run_cli(capsys, "run", str(p))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert f"permutation degree {degree} exceeds the degree cap {PERMUTATION_DEGREE_CAP}" in err
 
     def test_unresolved_reference_exit_3(self, capsys, tmp_path):
         doc = fixture_doc("norm_one_2")
