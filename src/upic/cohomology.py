@@ -12,18 +12,21 @@ check both routes against it.
 For a bounded complex of coefficients the total complex carries
 D = (-1)^q delta + d_coefficient on the (p, q) summand, so for a two-term
 complex [A -f-> B> this reads D(alpha, beta) = (delta alpha, f(alpha) -
-delta beta).  D*D = 0 is machine-checked on every instance before any
-invariant is reported, and a value above the complex's top degree must be
-finite of exponent dividing |G| (`hypercohomology`).  Group cohomology is
-the one-term case: the module placed in degree 0.
+delta beta).  Every coefficient complex is first made a complex of
+lattices, each term F/R replaced by [R -> F] (`HyperTotal`), so one route
+reads every value: `intmatrix.free_cohomology`.  D*D = 0 is
+machine-checked on every instance before any invariant is reported, and a
+value above the complex's top degree must be finite of exponent dividing
+|G| (`hypercohomology`).  Group cohomology is the one-term case: the
+module placed in degree 0.
 
 DEGREE_LIMIT bounds the degree HyperTotal is asked for and
 COCHAIN_RANK_LIMIT the rank of the cochains it assembles, both before the
 work (`resolutions.RESOLUTION_BUILD_LIMIT` bounds the greedy route);
 ENUMERATION_LIMIT bounds the enumeration oracle.  The differentials are
-sparse columns and reach `intmatrix` in that form: `free_cohomology` when
-Tot^(n+1) has no relation columns (then neither has Tot^n), else
-`cycle_lattice` and `subquotient_invariants`.
+sparse columns and reach `intmatrix` in that form.  The cyclic oracle
+keeps `cycle_lattice` and `subquotient_invariants`: its value is that it
+shares no route with `HyperTotal`.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ from .intmatrix import (
     SparseCols,
     cycle_lattice,
     free_cohomology,
-    in_column_span,
     smith_normal_form,
+    solve_integer,
     subquotient_invariants,
     unimodular_inverse,
 )
-from .modules import PresentedModule
+from .modules import PresentedModule, equivariant_presentation
 from .resolutions import AbelianResolution, SmallResolution, small_resolution
 
 # Largest degree HyperTotal computes.  Pic and Br_a need H^1 and H^2, and 4
@@ -56,9 +59,10 @@ DEGREE_LIMIT = 4
 # Largest module, counted in elements, and largest cochain space, counted in
 # points, the enumeration oracle searches.
 ENUMERATION_LIMIT = 1 << 20
-# Largest total rank of the degree-(n+1) cochains HyperTotal assembles for
-# H^n.  Over the bar resolution brauer_a on J_G needs (|G|-1)^4 and is
-# refused from order 16; over the small resolution it stays in the thousands.
+# Largest total rank of each degree of cochains HyperTotal assembles for H^n
+# (n-1, n and n+1).  Over the bar resolution brauer_a on J_G needs (|G|-1)^4
+# and is refused from order 16; over the small resolution it stays in the
+# thousands.
 COCHAIN_RANK_LIMIT = 1 << 15
 
 
@@ -139,26 +143,36 @@ def cochain_differential(group: FiniteGroup, m: PresentedModule, p: int) -> Spar
 
 
 class HyperTotal:
-    """Total complex of Hom_G(F, K) for a resolution F and a bounded complex K.
+    """Total complex of Hom_G(F, L) for a resolution F and the complex of lattices L of K.
 
-    Lays out the summands Tot^n = (+)_q Hom_G(F_(n-q), K^q) for the degrees
-    n0+1, n0, n0-1 needed to read off H^n0, once each, assembles D, and
-    verifies D composed with D vanishes modulo the relation lattice.
+    Each term K^q = F^q / R^q of the coefficient complex K is replaced by
+    its presentation (`modules.equivariant_presentation`), and K by the
+    total complex L of [R^. -> F^.]: L^q = F^q (+) R^(q+1) and d(x, y) =
+    (f x + iota y, -f_R y), where f_R solves iota f_R = f iota.  L -> K,
+    (x, y) -> x mod R, is a quasi-isomorphism, so Tot(L) computes the
+    hypercohomology of K.  Where an action or a differential of K holds
+    only modulo relations (d d = 2 in Z -2-> Z -1-> Z/2, say), D on the F
+    pieces squares to a defect D_F D_F with values in the relations, and
+    D(x, y) = (D_F x + iota_* y, -D_R y - e x) with iota_* e = D_F D_F
+    squares to zero, as iota_* is injective; e is zero when K holds exactly.
 
-    Two routes read H^n0.  When no summand of Tot^(n0+1) has relation
-    columns, neither has Tot^n0 (each of its coefficient terms appears in
-    Tot^(n0+1) too), the relation block diagonals are not built (`rel_at`
-    and `rel_above` are None), every column of D*D must be zero, and
-    `free_cohomology` reads H^n0 off D's ranks and a Smith diagonal.
-    Otherwise the relations are laid out block by block, and
-    `cycle_lattice` and `subquotient_invariants` read H^n0.  The
+    The summands Tot^n = (+) Hom_G(F_(n-l), piece) run over the pieces of
+    L^l, each F^q in degree q and each R^(q+1) in degree q, the F pieces
+    first, laid out once each for the degrees n0-1, n0 and n0+1 needed to
+    read off H^n0.  Tot^(n0+1) keeps its F pieces only: when the F part
+    of Dx is zero, D D x = 0 puts iota_* of the R part of Dx in its F part,
+    which is then zero.  So H^n0 is ker(d_at) / im(d_below), with d_at onto
+    the F pieces, and the resolution is never asked for the rank below an
+    R^(q+1) summand of Tot^(n0+1).  Each column of d_at d_below must be
+    zero once e is lifted into d_below (`_lift_defect`), and
+    `free_cohomology` reads H^n0 off the ranks and a Smith diagonal.  The
     resolution defaults to the group's small resolution.  A degree over
     DEGREE_LIMIT raises BudgetExceeded before any resolution level is
-    built, and a rank of Tot^(n0+1) over COCHAIN_RANK_LIMIT before any
-    differential is assembled.
+    built, and a rank of any of the three cochain degrees over
+    COCHAIN_RANK_LIMIT before any differential is assembled.
     """
 
-    __slots__ = ("group", "coeffs", "degree", "resolution", "d_below", "d_at", "rel_at", "rel_above")
+    __slots__ = ("group", "coeffs", "degree", "resolution", "pieces", "d_below", "d_at")
 
     def __init__(
         self,
@@ -173,65 +187,101 @@ class HyperTotal:
         self.coeffs = coeffs
         self.degree = degree
         self.resolution = small_resolution(group) if resolution is None else resolution
-        above = self._layout(degree + 1)
-        if above[1] > COCHAIN_RANK_LIMIT:
-            raise BudgetExceeded(
-                f"degree {degree + 1} cochains have rank {above[1]}, over the limit {COCHAIN_RANK_LIMIT}"
-            )
-        at = self._layout(degree)
-        below = self._layout(degree - 1)
+        self.pieces = self._pieces()
+        layouts = {n: self._layout(n, relations=n <= degree) for n in (degree + 1, degree, degree - 1)}
+        for n, (_, total) in layouts.items():
+            if total > COCHAIN_RANK_LIMIT:
+                raise BudgetExceeded(f"degree {n} cochains have rank {total}, over the limit {COCHAIN_RANK_LIMIT}")
+        above, at, below = layouts.values()
         self.d_below = self._differential(below, at)
         self.d_at = self._differential(at, above)
-        if any(self.coeffs.term(q).relations.cols for q, _ in above[0]):
-            self.rel_at, self.rel_above = self._relations(at), self._relations(above)
-        else:
-            self.rel_at = self.rel_above = None
-        self._check_square_zero()
+        self._lift_defect(above, at)
 
-    def _layout(self, n: int):
-        """The offset of each nonzero summand of Tot^n, keyed (q, p), and the rank of Tot^n."""
+    def _pieces(self) -> dict:
+        """Each piece of L keyed (degree, kind), kind 0 for F and 1 for R: its module and its maps to degree + 1.
+
+        The maps are keyed by the kind of their target piece: f from F^q to
+        F^(q+1); iota from R^(q+1) to F^(q+1) and -f_R from R^(q+1) to R^(q+2).
+        """
+        k = self.coeffs
+        shown = {q: equivariant_presentation(k.term(q)) for q in k.degrees()}
+        pieces = {}
+        for q, (f_mod, r_mod, iota) in shown.items():
+            pieces[(q, 0)] = (f_mod, {0: k.differential(q).matrix} if q + 1 in shown else {})
+            if r_mod.gens:
+                maps = {0: iota}
+                if q + 1 in shown:
+                    maps[1] = self._restrict(q, iota, shown[q + 1][2]).neg()
+                pieces[(q - 1, 1)] = (r_mod, maps)
+        return pieces
+
+    def _restrict(self, q: int, iota: IntMatrix, iota_next: IntMatrix) -> IntMatrix:
+        """f_R with iota_next f_R == f iota, for the differential f of the coefficients from degree q."""
+        cols = [solve_integer(iota_next, col) for col in self.coeffs.differential(q).matrix.mul(iota).columns()]
+        if None in cols:
+            raise ExactnessViolation(f"the coefficients' differential from degree {q} does not keep the relations")
+        return IntMatrix.from_columns(iota_next.cols, cols)
+
+    def _layout(self, n: int, relations: bool):
+        """The offset of each nonzero summand of Tot^n, keyed (degree, kind, p), and the rank of Tot^n."""
         offsets, total = {}, 0
-        for q in self.coeffs.degrees():
-            m = self.coeffs.term(q)
-            if n - q >= 0 and m.gens:
-                offsets[(q, n - q)] = total
-                total += m.gens * self.resolution.rank(n - q)
+        for (l, kind), (m, _) in sorted(self.pieces.items(), key=lambda item: item[0][1]):
+            if n - l >= 0 and m.gens and (relations or kind == 0):
+                offsets[(l, kind, n - l)] = total
+                total += m.gens * self.resolution.rank(n - l)
         return offsets, total
 
-    def _relations(self, layout) -> IntMatrix:
-        return IntMatrix.block_diagonal(
-            self.coeffs.term(q).relations for q, p in layout[0] for _ in range(self.resolution.rank(p))
-        )
-
     def _differential(self, src, tgt) -> SparseCols:
-        """D from the summands laid out by `src` to those laid out by `tgt`."""
+        """D from the summands laid out by `src` to those laid out by `tgt`, without the lifted defect."""
         (src_offs, src_total), (tgt_offs, tgt_total) = src, tgt
         out = SparseCols(tgt_total, src_total)
-        for (q, p), c0 in src_offs.items():
-            m = self.coeffs.term(q)
-            if (q, p + 1) in tgt_offs:
-                hom_differential(self.resolution, m, p, out, (tgt_offs[(q, p + 1)], c0), -1 if q % 2 else 1)
-            if (q + 1, p) in tgt_offs:
-                f = self.coeffs.differential(q).matrix
-                r0 = tgt_offs[(q + 1, p)]
-                nt = self.coeffs.term(q + 1).gens
-                for s in range(self.resolution.rank(p)):
-                    out.add_block(r0 + s * nt, c0 + s * m.gens, f)
+        for (l, kind, p), c0 in src_offs.items():
+            m, maps = self.pieces[(l, kind)]
+            if (l, kind, p + 1) in tgt_offs:
+                hom_differential(self.resolution, m, p, out, (tgt_offs[(l, kind, p + 1)], c0), -1 if l % 2 else 1)
+            for to, mat in maps.items():
+                if (l + 1, to, p) in tgt_offs:
+                    r0 = tgt_offs[(l + 1, to, p)]
+                    for s in range(self.resolution.rank(p)):
+                        out.add_block(r0 + s * mat.rows, c0 + s * m.gens, mat)
         return out
 
-    def _check_square_zero(self):
+    def _lift_defect(self, above, at):
+        """Put -e into d_below, so that d_at d_below == 0; a column that does not lift is an ExactnessViolation.
+
+        A nonzero column of d_at d_below lies in the F pieces of
+        Tot^(n0+1).  Its block on generator s of Hom_G(F_p, F^(q+1)) must
+        be iota of a vector, which goes, negated, to the same block of the
+        R^(q+1) summand of Tot^n0.
+        """
         square = self.d_at.compose(self.d_below)
-        nonzero = [square.column(c) for c, col in enumerate(square.entries) if col]
-        if nonzero and (self.rel_above is None or not in_column_span(self.rel_above, nonzero)):
-            raise ExactnessViolation("total differential does not square to zero")
+        if not any(square.entries):
+            return
+        where = {}  # row of Tot^(n0+1) -> (first row of its block in Tot^n0, iota, row within the block)
+        for (l, _, p), r0 in above[0].items():
+            if (l - 1, 1) in self.pieces:
+                iota = self.pieces[(l - 1, 1)][1][0]
+                for s in range(self.resolution.rank(p)):
+                    b0 = at[0][(l - 1, 1, p)] + s * iota.cols
+                    where.update((r0 + s * iota.rows + i, (b0, iota, i)) for i in range(iota.rows))
+        for c, col in enumerate(square.entries):
+            parts = {}
+            for r, x in col.items():
+                if r not in where:
+                    raise ExactnessViolation("total differential does not square to zero")
+                b0, iota, i = where[r]
+                parts.setdefault(b0, (iota, [0] * iota.rows))[1][i] = x
+            for b0, (iota, vec) in parts.items():
+                e = solve_integer(iota, vec)
+                if e is None:
+                    raise ExactnessViolation("total differential does not square to zero")
+                for j, x in enumerate(e):
+                    self.d_below.add(b0 + j, c, -x)
 
     def cohomology(self) -> AbelianInvariants:
         if self.d_at.cols == 0:
             return AbelianInvariants(0)
-        if self.rel_above is None:
-            return free_cohomology(self.d_at, self.d_below)
-        cycles = cycle_lattice(self.d_at, self.rel_above)
-        return subquotient_invariants(cycles, self.d_below.to_dense().hstack(self.rel_at))
+        return free_cohomology(self.d_at, self.d_below)
 
 
 def hypercohomology(group: FiniteGroup, coeffs: BoundedComplex, degree: int) -> AbelianInvariants:

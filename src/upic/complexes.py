@@ -146,21 +146,13 @@ class ComplexMap:
                 out.append(f"square at degree {i} does not commute")
         return out
 
-    @classmethod
-    def zero(cls, source: BoundedComplex, target: BoundedComplex) -> "ComplexMap":
-        return cls(source, target, {}, check=False)
-
-    @classmethod
-    def identity(cls, c: BoundedComplex) -> "ComplexMap":
-        return cls(c, c, {i: ModuleMap.identity(c.term(i)) for i in c.degrees()}, check=False)
-
 
 def cone(phi: ComplexMap) -> BoundedComplex:
     """Mapping cone: term^i = source^(i+1) (+) target^i (source part first).
 
     Built unchecked, so the caller must pass a valid chain map f: P -> Q
-    between valid complexes: P and Q validated, and f validated or made by
-    `ComplexMap.zero`/`identity`.  Then the differential D(p, q) = (-d_P p,
+    between valid complexes: P and Q validated, and f validated or a zero
+    or identity map (`upic.reference.zero_chain_map`/`identity_chain_map`).  Then the differential D(p, q) = (-d_P p,
     d_Q q - f p) has D^2(p, q) = (d_P^2 p, d_Q^2 q - d_Q f p + f d_P p) = 0
     by d_P^2 = 0, d_Q^2 = 0 and d_Q f = f d_P, all modulo relations; D is
     equivariant and keeps relations because its blocks do.  On any other

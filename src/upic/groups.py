@@ -83,17 +83,20 @@ class FiniteGroup:
     def from_permutations(cls, perms, cap: int = ORDER_CAP):
         """Close a list of permutations (on 0..deg-1) into a group.
 
-        Returns (group, generator_indices).  Elements are indexed in
-        breadth-first discovery order starting from the identity, so the
-        result is deterministic for a fixed input.
+        Returns (group, generator_indices), one index per permutation given.
+        Elements are indexed in breadth-first discovery order starting from
+        the identity, so the result is deterministic for a fixed input.  The
+        closure runs over the distinct permutations, in order of first
+        appearance: a repeated one finds only elements found already.
         """
         perms = [tuple(p) for p in perms]
         if not perms:
             raise ValueError("need at least one permutation")
+        distinct = list(dict.fromkeys(perms))
         deg = len(perms[0])
         if deg > PERMUTATION_DEGREE_CAP:
             raise ValidationError([f"permutation degree {deg} exceeds the degree cap {PERMUTATION_DEGREE_CAP}"])
-        for p in perms:
+        for p in distinct:
             if len(p) != deg or sorted(p) != list(range(deg)):
                 raise ValidationError([f"not a permutation of 0..{deg - 1}: {p}"])
         ident = tuple(range(deg))
@@ -103,7 +106,7 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for q in frontier:
-                for p in perms:
+                for p in distinct:
                     pq = tuple(p[q[i]] for i in range(deg))
                     if pq not in index:
                         if len(elements) >= cap:

@@ -16,13 +16,12 @@ in the same ambient coordinates, the columns of `cycles` spanning Z and
 those of `boundaries` spanning B; `subquotient_relations` presents it on
 the cycle columns and `subquotient_invariants` reads its invariants.
 
-`cohomology.HyperTotal`, the one caller of `free_cohomology`, reads
-cohomology ker(d_out) / im(d_in) by one of two routes, chosen by whether
-the target of d_out has relation columns.  With none, ker(d_out) is
-saturated and `free_cohomology` reads the quotient off ranks and one Smith
-diagonal, with no transforms or solves; relations of the middle term join
-the columns of d_in.  Otherwise `cycle_lattice` builds the cycles and
-`subquotient_invariants` reads the quotient: the free route's reference.
+`cohomology.HyperTotal` reads cohomology ker(d_out) / im(d_in) of a
+complex of lattices by one route, `free_cohomology`: ker(d_out) is
+saturated, so the quotient comes off ranks and one Smith diagonal, with no
+transforms or solves.  `cycle_lattice` and `subquotient_invariants` serve
+the cyclic oracle, the complexes of modules with relations (`complexes`)
+and the greedy resolution's kernels, and they are the tests' reference.
 
 A lattice, fixed or growing, is a `LatticeSpan`: sparse basis vectors
 kept in column Hermite form, the normal form `kernels.hnf_cols` gives, so
@@ -462,7 +461,7 @@ def _sparse_columns(d: IntMatrix | SparseCols) -> list:
     return cols
 
 
-def _eliminate_unit_pivots(cols: list, trans: list | None = None):
+def _eliminate_unit_pivots(cols: list, trans: list | None = None, rank_only: bool = False):
     """Split the +-1 pivots off the sparse columns `cols`, in place.
 
     For each unit pivot (r, c), taken in the sparsest column first and
@@ -471,9 +470,12 @@ def _eliminate_unit_pivots(cols: list, trans: list | None = None):
     transform columns `trans` too when given.  Row operations through row
     r would then touch column c only, so the pivot splits off as a 1 of the
     Smith form: the columns left, on the rows left, keep the rest of the
-    Smith diagonal.  Returns the number of pivots, the columns that are or
-    become zero (in the order found), and the sorted indices of the other
-    columns left, none of which has a unit entry.
+    Smith diagonal.  With `rank_only`, a column with a single entry is a
+    pivot whatever its value, and its row is dropped from the other
+    columns: that keeps the rank of the columns left, not their Smith
+    diagonal.  Returns the number of pivots, the columns that are or become
+    zero (in the order found), and the sorted indices of the other columns
+    left, none of which has a unit entry (or, with `rank_only`, a single one).
     """
     row_cols = {}
     for j, col in enumerate(cols):
@@ -492,7 +494,7 @@ def _eliminate_unit_pivots(cols: list, trans: list | None = None):
             active.discard(c)
             zero.append(c)
             continue
-        units = [r for r, x in col.items() if x == 1 or x == -1]
+        units = list(col) if rank_only and size == 1 else [r for r, x in col.items() if x == 1 or x == -1]
         if not units:
             continue  # pushed again if a later pivot changes it
         r = min(units, key=lambda i: (len(row_cols[i]), i))
@@ -538,8 +540,8 @@ def _remainder(cols: list, rest: list) -> IntMatrix:
 def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> IntMatrix:
     """Hermite basis of {x : d*x lies in the column span of target_relations}.
 
-    The general route to cycles: `HyperTotal` reads cohomology over a target
-    without relation columns off `free_cohomology` instead.  `d` is an
+    The general route to cycles: `HyperTotal` reads cohomology off
+    `free_cohomology` instead.  `d` is an
     `IntMatrix` or a `SparseCols`.  The lattice is the kernel of
     [d | -target_relations] projected onto its first d.cols coordinates.
     The stacked matrix is held as sparse columns and its unit pivots are
@@ -582,22 +584,23 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
 def free_cohomology(d_out: IntMatrix | SparseCols, d_in: IntMatrix | SparseCols) -> AbelianInvariants:
     """Invariants of ker(d_out) / im(d_in) for maps of free modules with d_out * d_in == 0.
 
-    `HyperTotal`'s route, and its only use, for a target of d_out without
-    relation columns, with no transforms and no solves; relations of the
-    middle term come in as columns of d_in.  The kernel of d_out is saturated,
-    so the quotient is Z^(n - rank d_out - rank d_in) plus the torsion of
-    coker d_in, with n = d_out.cols = d_in.rows.  The unit pivots of each
-    matrix are eliminated first (`_eliminate_unit_pivots`).  rank d_out is
-    their count plus the Hermite pivots of the remainder; d_in adds its count
-    to the nonzero entries of the remainder's Smith diagonal, taken with no
-    more rows than columns, whose entries over 1 are the torsion.  The product
-    is not checked here: `HyperTotal` checks D*D == 0, and a valid complex has
-    d*d == 0 and maps relations to relations.
+    `HyperTotal`'s one reader of cohomology, with no transforms and no
+    solves.  The kernel of d_out is saturated, so the quotient is
+    Z^(n - rank d_out - rank d_in) plus the torsion of coker d_in, with
+    n = d_out.cols = d_in.rows.  The unit pivots of each matrix are
+    eliminated first (`_eliminate_unit_pivots`), and for d_out, whose rank
+    alone is read, the columns with a single entry too: `HyperTotal`'s
+    relation columns are such columns until a pivot fills them in.  rank
+    d_out is the pivot count plus the Hermite pivots of the remainder; d_in
+    adds its count to the nonzero entries of the remainder's Smith
+    diagonal, taken with no more rows than columns, whose entries over 1
+    are the torsion.  The product is not checked here: `HyperTotal` checks
+    D*D == 0.
     """
     if d_out.cols != d_in.rows:
         raise ValueError("d_out and d_in do not compose")
     cols = [c for c in _sparse_columns(d_out) if c]  # zero columns add nothing to a rank
-    rank_out, _, rest = _eliminate_unit_pivots(cols)
+    rank_out, _, rest = _eliminate_unit_pivots(cols, rank_only=True)
     if rest:
         rank_out += len(_remainder(cols, rest).hermite()[2])
     cols = [c for c in _sparse_columns(d_in) if c]

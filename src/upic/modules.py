@@ -31,6 +31,7 @@ from .intmatrix import (
     in_column_span,
     smith_diagonal,
     smith_normal_form,
+    solve_integer,
     unimodular_inverse,
 )
 
@@ -205,6 +206,32 @@ def lattice_form(m: PresentedModule):
     return free, ModuleMap(m, free, to_mat), ModuleMap(free, m, from_mat)
 
 
+def equivariant_presentation(m: PresentedModule):
+    """The presentation 0 -> R -iota-> F -> m -> 0, as (F, R, iota).
+
+    F is m's generators and action with no relations; iota is the Hermite
+    basis of the relation columns, and R is the lattice it spans, with the
+    action X_g solving iota * X_g == rho(g) * iota, uniquely, as the
+    columns are independent.  A module without relations is its own
+    presentation, with R zero (built here, not by `zero_module`, whose
+    module the group keeps and which would tie the two into a cycle).  A
+    module whose action moves a relation out of the relation lattice has
+    no R, and raises ValidationError.
+    """
+    if not m.relations.cols:
+        return m, free_module(m.group, [IntMatrix.zeros(0, 0)] * m.group.order), IntMatrix.zeros(m.gens, 0)
+    h, _, pivots = m.relations.hermite()
+    rank = len(pivots)  # the pivot columns come first
+    iota = IntMatrix(m.gens, rank, [row[:rank] for row in h.data])
+    action = []
+    for g, rho in enumerate(m.action):
+        cols = [solve_integer(iota, col) for col in rho.mul(iota).columns()]
+        if None in cols:
+            raise ValidationError([f"action of element {g} does not preserve the relation lattice"])
+        action.append(IntMatrix.from_columns(rank, cols))
+    return free_module(m.group, m.action), free_module(m.group, action), iota
+
+
 def norm_one_lattice_of(group: FiniteGroup) -> PresentedModule:
     """Quotient of the regular lattice by the all-ones norm vector.
 
@@ -322,9 +349,6 @@ class ModuleMap:
         if inner.target is not self.source and inner.target != self.source:
             raise ValidationError(["composition mismatch"])
         return ModuleMap(inner.source, self.target, self.matrix.mul(inner.matrix))
-
-    def neg(self) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.matrix.neg())
 
     def __repr__(self):
         return f"ModuleMap({self.source.gens}->{self.target.gens})"

@@ -12,6 +12,10 @@ the helpers only those use.  Sign conventions, beside the cone's:
   every degree (no alternating sign): d^2 = 0 is automatic and the double
   dual returns the original complex on the nose.
 
+`relation_route` is the cohomology route `HyperTotal` took before every
+coefficient complex became a complex of lattices: cochains on the
+generators of each term, read modulo the relation lattices.
+
 A complex of lattices on a basis (no term has relation columns) is its
 own torsion-free resolution, and `resolve_torsion_free` returns the
 identity for it.  Any other complex is covered and coned (the resolution
@@ -22,11 +26,58 @@ lowest degree when that term is a lattice on a basis, else one below.
 
 from __future__ import annotations
 
+from .cohomology import hom_differential
 from .complexes import BoundedComplex, ComplexMap, _cohomology_vanishes, cohomology, cone, is_quasi_iso, one_term
 from .complexes import two_term, zero_complex
 from .errors import ExactnessViolation, HasTorsion, NotExact, PreconditionH0, ValidationError
-from .intmatrix import IntMatrix, cycle_lattice, in_column_span, smith_normal_form, solve_integer, unimodular_inverse
+from .intmatrix import AbelianInvariants, IntMatrix, SparseCols, cycle_lattice, in_column_span, smith_normal_form
+from .intmatrix import solve_integer, subquotient_invariants, unimodular_inverse
 from .modules import ModuleMap, PresentedModule, direct_sum_many, free_module, induced_module, lattice_form, zero_module
+
+
+def relation_route(coeffs: BoundedComplex, degree: int, resolution) -> AbelianInvariants:
+    """H^degree of Hom_G(F, K) on the generators of each term of K, read modulo the relation lattices.
+
+    Tot^n = (+)_q Hom_G(F_(n-q), K^q) with D = (-1)^q delta + d on the
+    (p, q) summand.  D composed with D must vanish modulo the relation
+    block diagonal of Tot^(n+1), and H^n is the cycles modulo those
+    relations over the boundaries and the relations of Tot^n, by
+    `cycle_lattice` and `subquotient_invariants`.
+    """
+
+    def layout(n):
+        offsets, total = {}, 0
+        for q in coeffs.degrees():
+            if n - q >= 0 and coeffs.term(q).gens:
+                offsets[(q, n - q)] = total
+                total += coeffs.term(q).gens * resolution.rank(n - q)
+        return offsets, total
+
+    def differential(src, tgt):
+        out = SparseCols(tgt[1], src[1])
+        for (q, p), c0 in src[0].items():
+            m = coeffs.term(q)
+            if (q, p + 1) in tgt[0]:
+                hom_differential(resolution, m, p, out, (tgt[0][(q, p + 1)], c0), -1 if q % 2 else 1)
+            if (q + 1, p) in tgt[0]:
+                nt = coeffs.term(q + 1).gens
+                for s in range(resolution.rank(p)):
+                    out.add_block(tgt[0][(q + 1, p)] + s * nt, c0 + s * m.gens, coeffs.differential(q).matrix)
+        return out
+
+    def relations(lay):
+        return IntMatrix.block_diagonal(
+            coeffs.term(q).relations for q, p in lay[0] for _ in range(resolution.rank(p))
+        )
+
+    above, at, below = layout(degree + 1), layout(degree), layout(degree - 1)
+    d_at, d_below, rel_above = differential(at, above), differential(below, at), relations(above)
+    square = d_at.compose(d_below)
+    if not in_column_span(rel_above, (square.column(c) for c, col in enumerate(square.entries) if col)):
+        raise ExactnessViolation("total differential does not square to zero")
+    if d_at.cols == 0:
+        return AbelianInvariants(0)
+    return subquotient_invariants(cycle_lattice(d_at, rel_above), d_below.to_dense().hstack(relations(at)))
 
 
 def structurally_equal(c: BoundedComplex, other: BoundedComplex) -> bool:
@@ -70,6 +121,18 @@ def is_zero_map(f: ModuleMap) -> bool:
     return f.target.contains_columns(f.matrix)
 
 
+def neg_map(f: ModuleMap) -> ModuleMap:
+    return ModuleMap(f.source, f.target, f.matrix.neg())
+
+
+def zero_chain_map(source: BoundedComplex, target: BoundedComplex) -> ComplexMap:
+    return ComplexMap(source, target, {}, check=False)
+
+
+def identity_chain_map(c: BoundedComplex) -> ComplexMap:
+    return ComplexMap(c, c, {i: ModuleMap.identity(c.term(i)) for i in c.degrees()}, check=False)
+
+
 def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:
     """Same generators and action, with extra relator columns folded in."""
     if extra.rows != m.gens:
@@ -88,7 +151,7 @@ def shift(c: BoundedComplex, k: int) -> BoundedComplex:
     """(C[k])^i = C^(i+k); differentials pick up (-1)^k."""
     if not c.terms:
         return c
-    diffs = c.differentials if k % 2 == 0 else tuple(d.neg() for d in c.differentials)
+    diffs = c.differentials if k % 2 == 0 else tuple(neg_map(d) for d in c.differentials)
     return BoundedComplex(c.group, c.lowest_degree - k, c.terms, diffs, check=False)
 
 

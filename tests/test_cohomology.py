@@ -38,8 +38,10 @@ from upic.modules import (
     norm_one_lattice_of,
     regular_module,
     trivial_module,
+    validate_module,
     zero_module,
 )
+from upic.reference import relation_route
 from upic.resolutions import RESOLUTION_BUILD_LIMIT, AbelianResolution, SmallResolution, small_resolution
 
 T = FiniteGroup.trivial()
@@ -500,6 +502,12 @@ class TestHyper:
         assert 39**3 > COCHAIN_RANK_LIMIT
         with pytest.raises(BudgetExceeded, match="rank 59319"):
             HyperTotal(g, one_term(z, 0), 2, resolution=BarResolution(g))
+        # C33 with Z/2: Tot^3 has rank 32^3, at the limit, but Tot^2 adds Hom(F_3, R) to
+        # Hom(F_2, F), 32^2 + 32^3 in all, and is refused before assembly
+        c33 = FiniteGroup.cyclic(33)
+        assert 32**3 == COCHAIN_RANK_LIMIT
+        with pytest.raises(BudgetExceeded, match="degree 2 cochains have rank 33792"):
+            HyperTotal(c33, one_term(finite_cyclic_module(c33, 2), 0), 2, resolution=BarResolution(c33))
 
     def test_resolution_build_limit(self, monkeypatch):
         # H^4 of C2^5 needs F_5.  Any free resolution of C2^5 has r_4 >= 70,
@@ -551,8 +559,8 @@ class TestHyper:
         diffs = [ModuleMap(z, z, IntMatrix(1, 1, [[2]])), ModuleMap(z, z2, IntMatrix(1, 1, [[1]]))]
         k = BoundedComplex(C2, 0, [z, z, z2], diffs)
         ht = HyperTotal(C2, k, 1)
-        assert ht.rel_above is not None and ht.rel_above.cols
-        assert ht.cohomology() == _bar_route(C2, k, 1)
+        assert ht.pieces[(1, 1)][0].gens == 1  # the relation lattice 2Z of Z/2, in degree 1 of L
+        assert ht.cohomology() == _bar_route(C2, k, 1) == relation_route(k, 1, SmallResolution(C2))
 
     def test_les_order_bookkeeping(self, rng):
         # For the triple H^(i-1)(B) -> H^i(K) -> H^i(A), exactness at the
@@ -632,10 +640,10 @@ AGREEMENT_GROUPS = {
     "C2xC6": C2.direct_product(FiniteGroup.cyclic(6)),
     "C12": FiniteGroup.cyclic(12),
 }
-# Largest bar rank of Tot^(n+1) the agreement test runs.  Free coefficients
-# up to rank 3750 take under 0.5 s; torsion ones send every relation column
-# to the dense Hermite form (D4 with Z/6 in degree 3, rank 2401, took 263 s).
-BAR_TEST_RANK = {"free": 4000, "torsion": 700}
+# Largest bar rank of Tot^(n+1) the agreement test runs.  Coefficients up to
+# rank 3750 take under 0.5 s, torsion ones too: D4 with Z/6 in degree 3, rank
+# 2401, takes 0.3 s, as its relation columns split off the rank of d_out.
+BAR_TEST_RANK = 4000
 
 
 def _coefficients(group):
@@ -672,9 +680,8 @@ class TestResolutions:
         g = AGREEMENT_GROUPS[name]
         compared = 0
         for label, m in _coefficients(g).items():
-            limit = BAR_TEST_RANK["torsion" if m.relations.cols else "free"]
             for degree in range(4):
-                if label == "Z" or m.gens * (g.order - 1) ** (degree + 1) <= limit:
+                if label == "Z" or m.gens * (g.order - 1) ** (degree + 1) <= BAR_TEST_RANK:
                     assert group_cohomology(g, m, degree) == _bar_route(g, one_term(m, 0), degree), (label, degree)
                     compared += 1
         assert compared == 16 if g.order <= 6 else compared >= 10
@@ -846,7 +853,7 @@ class TestAbelianResolution:
         assert isinstance(small_resolution(g), AbelianResolution)
         greedy = SmallResolution(g)
         for label, m in _coefficients(g).items():
-            limit = 0 if name in AGREEMENT_GROUPS else BAR_TEST_RANK["torsion" if m.relations.cols else "free"]
+            limit = 0 if name in AGREEMENT_GROUPS else BAR_TEST_RANK
             for degree in range(4):
                 value = group_cohomology(g, m, degree)
                 assert value == HyperTotal(g, one_term(m, 0), degree, resolution=greedy).cohomology(), (label, degree)
@@ -1012,7 +1019,7 @@ class TestFreeRoute:
         for k, degrees in cases:
             for degree in degrees:
                 ht = HyperTotal(g, k, degree)
-                assert ht.rel_at is None and ht.rel_above is None
+                assert all(kind == 0 for _, kind in ht.pieces)
                 want = subquotient_invariants(
                     cycle_lattice(ht.d_at, IntMatrix.zeros(ht.d_at.rows, 0)), ht.d_below.to_dense()
                 )
@@ -1020,13 +1027,118 @@ class TestFreeRoute:
                 assert ht.cohomology() == want, (degree, want.render())
 
     def test_lattices_build_no_relation_lattice(self, monkeypatch):
-        def refuse(self, layout):
-            raise AssertionError("relation block diagonal built for lattice coefficients")
+        # the action on a relation lattice is solved for; a lattice has none to solve
+        import upic.modules as modules
 
-        monkeypatch.setattr(HyperTotal, "_relations", refuse)
+        def refuse(*args):
+            raise AssertionError("relation lattice built for lattice coefficients")
+
+        monkeypatch.setattr(modules, "solve_integer", refuse)
         g = FiniteGroup.cyclic(4)
         j = norm_one_lattice_of(g)
         k = two_term(ModuleMap.zero(j, zero_module(g)))
         assert [hypercohomology(g, k, d) for d in (1, 2)] == [AbelianInvariants(0, [4]), AbelianInvariants(0)]
-        with pytest.raises(AssertionError, match="relation block diagonal"):
+        with pytest.raises(AssertionError, match="relation lattice built"):
             group_cohomology(g, finite_cyclic_module(g, 2), 1)
+
+
+def _orbit_quotient(group, rng, max_rank):
+    """A seeded lattice in a random basis modulo the orbit of a random vector and twice the orbit of another.
+
+    The action is exact and the relation lattice is G-stable by
+    construction.  It is presented on its Hermite basis, whose columns are
+    far from diagonal: the orbit's |G| columns per vector would make the
+    relation route's block diagonals, not the route under test, the cost.
+    """
+    from conftest import random_module
+    from upic.modules import PresentedModule
+
+    m = random_module(group, rng, max_rank=max_rank, allow_torsion=False)
+    cols = []
+    for scale in (1, 2):
+        v = [scale * rng.randint(-2, 2) for _ in range(m.gens)]
+        cols.extend(m.action_of(g).apply(v) for g in range(group.order))
+    h, _, pivots = IntMatrix.from_columns(m.gens, cols).hermite()
+    relations = IntMatrix(m.gens, len(pivots), [row[: len(pivots)] for row in h.data])
+    return PresentedModule(group, m.gens, relations, m.action)
+
+
+class TestOneRoute:
+    """Every coefficient complex reaches HyperTotal as a complex of lattices, read by `free_cohomology` alone."""
+
+    def test_torsion_takes_no_cycle_lattice(self, monkeypatch):
+        from upic.cli import fixture_text
+        from upic.homspace import upic_complex
+        from upic.modules import PresentedModule
+        from upic.taskfile import parse_task_text
+
+        cases = []
+        for group in (FiniteGroup.cyclic(4), FiniteGroup.cyclic(6), FiniteGroup.klein_four(), FiniteGroup.symmetric(3)):
+            for m in (2, 3, 4):
+                cases += [(group, one_term(finite_cyclic_module(group, m), 0), d) for d in range(4)]
+        c6 = FiniteGroup.cyclic(6)
+        regular = regular_module(c6)
+        for n, a, alternating in ((5, 2, False), (12, 4, True), (8, 6, False)):
+            signs = [(-1) ** k if alternating else 1 for k in range(6)]
+            zn = PresentedModule(c6, 1, IntMatrix(1, 1, [[n]]), [IntMatrix(1, 1, [[s]]) for s in signs])
+            f = ModuleMap(regular, zn, IntMatrix(1, 6, [[s * a for s in signs]]))
+            cases += [(c6, two_term(f), d) for d in (1, 2)]
+        sln = parse_task_text(fixture_text("sln_normalizer")).build()
+        cases += [(sln.group, upic_complex(data), d) for data in sln.homspace.values() for d in (1, 2)]
+        want = [relation_route(k, d, small_resolution(g)) for g, k, d in cases]
+
+        def refuse(*args):
+            raise AssertionError("HyperTotal reached the relation route")
+
+        monkeypatch.setattr(cohomology, "cycle_lattice", refuse)
+        monkeypatch.setattr(cohomology, "subquotient_invariants", refuse)
+        assert [hypercohomology(g, k, d) for g, k, d in cases] == want
+        assert sum(not value.is_trivial for value in want) >= 40
+
+    @pytest.mark.parametrize("name", ["C5", "C6", "K4", "S3", "D4", "S4"])
+    def test_matches_the_relation_route(self, name, rng):
+        """Seeded quotients with non-trivial action and non-diagonal relations: one-term, shifted,
+        and two-term with relations in both terms, in degrees up to DEGREE_LIMIT where S4's budget
+        allows (F_4; F_5 takes about 10 s to build)."""
+        from conftest import random_equivariant_map
+        from upic.reference import shift
+
+        g = FiniteGroup.symmetric(4) if name == "S4" else AGREEMENT_GROUPS[name]
+        top_level = 4 if name == "S4" else DEGREE_LIMIT + 1
+        res = small_resolution(g)
+        seen, moved = set(), 0
+        for trial in range(2):
+            a, b = (_orbit_quotient(g, rng, max_rank=min(g.order, 8)) for _ in range(2))
+            assert validate_module(a) == validate_module(b) == []
+            moved += sum(any(x != IntMatrix.identity(x.rows) for x in m.action) for m in (a, b))
+            k = two_term(random_equivariant_map(a, b, rng))
+            for c in (one_term(a, 0), shift(one_term(b, 0), 1), shift(one_term(a, 0), -1), k, shift(k, 1)):
+                for degree in range(c.lowest_degree - 1, min(DEGREE_LIMIT, c.lowest_degree + top_level - 1) + 1):
+                    value = HyperTotal(g, c, degree).cohomology()
+                    assert value == relation_route(c, degree, res), (trial, c, degree)
+                    seen.add(value)
+        assert len(seen) >= 3 and moved
+
+    def test_actions_holding_only_modulo_relations(self):
+        """C2 acting on Z/8 by 3 (3 * 3 = 9 on Z, 1 modulo 8), and Z[C2] -> Z/8 by (1, 3), which commutes
+        with the action modulo 8 only: D on the generators squares to a defect in the relations."""
+        from upic.modules import PresentedModule
+
+        z8 = PresentedModule(C2, 1, IntMatrix(1, 1, [[8]]), [IntMatrix(1, 1, [[1]]), IntMatrix(1, 1, [[3]])])
+        f = ModuleMap(regular_module(C2), z8, IntMatrix(1, 2, [[1, 3]]))
+        assert validate_module(z8) == [] and f.validate() == []
+        res = small_resolution(C2)
+        for degree in range(DEGREE_LIMIT + 1):
+            value = group_cohomology(C2, z8, degree)
+            assert value == cyclic_oracle(C2, z8, degree) == relation_route(one_term(z8, 0), degree, res)
+            assert hypercohomology(C2, two_term(f), degree) == relation_route(two_term(f), degree, res)
+
+    def test_no_deeper_resolution_level(self):
+        # H^3 of Z/2 reads Hom(F_4, R) in Tot^3 but never Hom(F_5, R): a cold S4 builds F_0..F_4 only
+        g = FiniteGroup.symmetric(4)
+        start = time.perf_counter()
+        value = group_cohomology(g, finite_cyclic_module(g, 2), 3)
+        elapsed = time.perf_counter() - start
+        assert value == AbelianInvariants(0, [2, 2, 2])
+        assert len(g._resolution.boundaries) == 5
+        assert elapsed < 0.2, f"H^3(S4, Z/2) took {elapsed:.2f}s cold"

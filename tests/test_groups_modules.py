@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from upic.modules import (
     direct_sum,
     direct_sum_many,
     equivariant_by_transfer,
+    equivariant_presentation,
     finite_cyclic_module,
     free_module,
     induced_module,
@@ -51,6 +53,18 @@ class TestFiniteGroup:
         g1, gens1 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
         g2, gens2 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
         assert g1.table == g2.table and gens1 == gens2
+
+    def test_repeated_permutations_close_once(self):
+        # one order-48 permutation of 96 points (cycles of lengths 16 and 3, twice), 20,000 times
+        cycle = [list(range(k + 1, k + 16)) + [k] for k in (0, 16)] + [[33, 34, 32], [36, 37, 35]]
+        perm = [x for block in cycle for x in block] + list(range(38, 96))
+        single, single_gens = FiniteGroup.from_permutations([perm])
+        start = time.perf_counter()
+        group, gens = FiniteGroup.from_permutations([perm] * 20_000)
+        elapsed = time.perf_counter() - start
+        assert single.order == 48
+        assert group.table == single.table and gens == single_gens * 20_000
+        assert elapsed < 1.0, f"20,000 copies took {elapsed:.2f}s"
 
     def test_permutation_cap(self):
         with pytest.raises(ValidationError):
@@ -489,6 +503,24 @@ class TestGeneratorValidation:
             "action(2)*action(1) differs from action(0) modulo relations",
             "action(2)*action(2) differs from action(1) modulo relations",
         ]
+
+    def test_presentation_needs_a_stable_relation_lattice(self):
+        """C2 swapping the generators of Z^2 / (2, 0): the swap moves the relation (2, 0) to (0, 2),
+        outside the relation lattice, so the module is invalid and has no relation lattice R."""
+        c2 = FiniteGroup.cyclic(2)
+        swap = IntMatrix(2, 2, [[0, 1], [1, 0]])
+        m = PresentedModule(c2, 2, IntMatrix(2, 1, [[2], [0]]), [IntMatrix.identity(2), swap])
+        assert validate_module(m) == ["action of element 1 does not preserve the relation lattice"]
+        with pytest.raises(ValidationError, match="action of element 1 does not preserve the relation lattice"):
+            equivariant_presentation(m)
+        # with both relations the lattice is stable, and the swap acts on its Hermite basis
+        ok = PresentedModule(c2, 2, IntMatrix(2, 2, [[2, 0], [0, 2]]), [IntMatrix.identity(2), swap])
+        assert validate_module(ok) == []
+        f, r, iota = equivariant_presentation(ok)
+        assert f.relations.cols == 0 and f.action == ok.action
+        assert iota == IntMatrix(2, 2, [[2, 0], [0, 2]]) and r.action[1] == swap
+        lattice = norm_one_lattice_of(c2)
+        assert equivariant_presentation(lattice)[0] is lattice and equivariant_presentation(lattice)[1].gens == 0
 
     def test_map_commuting_with_generators_from_an_invalid_source(self):
         """The identity from a module broken off the generators commutes with every generator

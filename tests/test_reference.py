@@ -13,7 +13,7 @@ from pathlib import Path
 import upic
 import upic.complexes as complexes
 import upic.modules as modules
-from upic.complexes import BoundedComplex
+from upic.complexes import BoundedComplex, ComplexMap
 from upic.modules import ModuleMap, PresentedModule
 
 PACKAGE = Path(upic.__file__).parent
@@ -31,13 +31,24 @@ MOVED_FUNCTIONS = (
     "dual_complex",
     "add_relations",
     "dual_lattice",
+    "relation_route",
 )
 MOVED_METHODS = {
     BoundedComplex: ("structurally_equal",),
     PresentedModule: ("stabilizer",),
     ModuleMap: ("kernel_lattice", "is_injective", "is_surjective", "is_zero_map"),
 }
-MOVED = MOVED_FUNCTIONS + tuple(name for names in MOVED_METHODS.values() for name in names)
+# methods that became functions under another name, as `zero` and `identity` say little outside their class
+RENAMED_METHODS = {
+    (ModuleMap, "neg"): "neg_map",
+    (ComplexMap, "zero"): "zero_chain_map",
+    (ComplexMap, "identity"): "identity_chain_map",
+}
+MOVED = (
+    MOVED_FUNCTIONS
+    + tuple(name for names in MOVED_METHODS.values() for name in names)
+    + tuple(RENAMED_METHODS.values())
+)
 
 
 def test_cli_import_does_not_load_the_reference():
@@ -77,6 +88,8 @@ def test_moved_names_live_only_in_the_reference():
     for cls, names in MOVED_METHODS.items():
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    for cls, name in RENAMED_METHODS:
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
 def test_public_surface_resolves():
