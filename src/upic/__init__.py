@@ -2,14 +2,15 @@
 
 The public layers, bottom up: exact integer linear algebra (`intmatrix`),
 finite groups and presented modules (`groups`, `modules`), bounded
-complexes with cones, cohomology and the quasi-isomorphism test
-(`complexes`), group and hypercohomology over free resolutions with
-independent oracles (`cohomology`, `resolutions`), and the invariant
-pipelines (`homspace`).  The `upic` command drives everything from
+complexes, chain maps and cones (`complexes`), group and hypercohomology
+over free resolutions with independent oracles, the cohomology of a
+complex and the quasi-isomorphism test (`cohomology`, `resolutions`), and
+the invariant pipelines (`homspace`).  The `upic` command drives everything from
 declarative task files.
 
 `upic.reference` holds what only the tests run (shifts, fibres, the
-torsion-free resolution, the termwise dual and collapse); neither this
+torsion-free resolution, the termwise dual, collapse and the subquotient
+route to a complex's cohomology); neither this
 package nor the `upic` command imports it.
 """
 
@@ -43,18 +44,17 @@ from .modules import (
 from .complexes import (
     BoundedComplex,
     ComplexMap,
-    cohomology,
-    cohomology_invariants,
     cone,
-    is_quasi_iso,
     one_term,
     two_term,
 )
 from .cohomology import (
+    cohomology_invariants,
     cyclic_oracle,
     finite_coeff_bruteforce,
     group_cohomology,
     hypercohomology,
+    is_quasi_iso,
 )
 from .homspace import (
     HomSpaceData,
@@ -80,7 +80,6 @@ __all__ = [
     "TorusComparisonData",
     "backend_name",
     "brauer_a",
-    "cohomology",
     "cohomology_invariants",
     "cokernel_invariants",
     "cone",

@@ -18,12 +18,16 @@ reads every value: `intmatrix.free_cohomology`.  D*D = 0 is
 machine-checked on every instance before any invariant is reported, and a
 value above the complex's top degree must be finite of exponent dividing
 |G| (`hypercohomology`).  Group cohomology is the one-term case: the
-module placed in degree 0.
+module placed in degree 0.  The cohomology of a complex is its
+hypercohomology over the trivial group, whose resolution is F_0 = Z alone
+(`cohomology_invariants`), and a chain map is a quasi-isomorphism when
+every such group of its cone vanishes (`is_quasi_iso`).
 
-DEGREE_LIMIT bounds the degree HyperTotal is asked for and
-COCHAIN_RANK_LIMIT the rank of the cochains it assembles, both before the
-work (`resolutions.RESOLUTION_BUILD_LIMIT` bounds the greedy route);
-ENUMERATION_LIMIT bounds the enumeration oracle.  The differentials are
+DEGREE_LIMIT bounds how far above the coefficients' lowest degree
+HyperTotal is asked for a value, which is the depth of the resolution it
+reads, and COCHAIN_RANK_LIMIT the rank of the cochains it assembles, both
+before the work (`resolutions.RESOLUTION_BUILD_LIMIT` bounds the greedy
+route); ENUMERATION_LIMIT bounds the enumeration oracle.  The differentials are
 sparse columns and reach `intmatrix` in that form.  The cyclic oracle
 keeps `cycle_lattice` and `subquotient_invariants`: its value is that it
 shares no route with `HyperTotal`.
@@ -34,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import BoundedComplex, one_term
+from .complexes import BoundedComplex, ComplexMap, cone, one_term
 from .errors import BudgetExceeded, ExactnessViolation, NotCyclic, ValidationError
 from .groups import FiniteGroup
 from .intmatrix import (
@@ -51,10 +55,12 @@ from .intmatrix import (
 from .modules import PresentedModule, equivariant_presentation
 from .resolutions import AbelianResolution, SmallResolution, small_resolution
 
-# Largest degree HyperTotal computes.  Pic and Br_a need H^1 and H^2, and 4
-# keeps H^4(C2, Z) in reach.  The other limits grow with the ranks, and a
-# cyclic group's resolution has rank 1 in every degree, so only this one
-# stops a degree of 10^9; it alone bounds the abelian route (C2^5: r_5 = 126).
+# Largest degree HyperTotal computes above the coefficients' lowest degree:
+# H^n of coefficients from degree l reads F_0..F_(n-l+1).  Pic and Br_a need
+# H^1 and H^2 of coefficients from degree 0, and 4 keeps H^4(C2, Z) in reach.
+# The other limits grow with the ranks, and a cyclic group's resolution has
+# rank 1 in every degree, so only this one stops a degree of 10^9; it alone
+# bounds the abelian route (C2^5: r_5 = 126).
 DEGREE_LIMIT = 4
 # Largest module, counted in elements, and largest cochain space, counted in
 # points, the enumeration oracle searches.
@@ -64,6 +70,9 @@ ENUMERATION_LIMIT = 1 << 20
 # and is refused from order 16; over the small resolution it stays in the
 # thousands.
 COCHAIN_RANK_LIMIT = 1 << 15
+# The group a complex's own cohomology is read over (`cohomology_invariants`);
+# the resolution kept on it has F_0 = Z and nothing above.
+_TRIVIAL_GROUP = FiniteGroup.trivial()
 
 
 def _nonidentity(group: FiniteGroup) -> list:
@@ -166,10 +175,11 @@ class HyperTotal:
     R^(q+1) summand of Tot^(n0+1).  Each column of d_at d_below must be
     zero once e is lifted into d_below (`_lift_defect`), and
     `free_cohomology` reads H^n0 off the ranks and a Smith diagonal.  The
-    resolution defaults to the group's small resolution.  A degree over
-    DEGREE_LIMIT raises BudgetExceeded before any resolution level is
-    built, and a rank of any of the three cochain degrees over
-    COCHAIN_RANK_LIMIT before any differential is assembled.
+    resolution defaults to the group's small resolution.  A degree more
+    than DEGREE_LIMIT above the coefficients' lowest degree raises
+    BudgetExceeded before any resolution level is built, and a rank of any
+    of the three cochain degrees over COCHAIN_RANK_LIMIT before any
+    differential is assembled.
     """
 
     __slots__ = ("group", "coeffs", "degree", "resolution", "pieces", "d_below", "d_at")
@@ -181,8 +191,8 @@ class HyperTotal:
         degree: int,
         resolution: BarResolution | SmallResolution | AbelianResolution | None = None,
     ):
-        if degree > DEGREE_LIMIT:
-            raise BudgetExceeded(f"degree {degree} is over the limit {DEGREE_LIMIT}")
+        if degree - coeffs.lowest_degree > DEGREE_LIMIT:
+            raise BudgetExceeded(f"degree {degree} is over the limit {coeffs.lowest_degree + DEGREE_LIMIT}")
         self.group = group
         self.coeffs = coeffs
         self.degree = degree
@@ -300,6 +310,35 @@ def hypercohomology(group: FiniteGroup, coeffs: BoundedComplex, degree: int) -> 
             f"H^{degree} = {value.render()} is not killed by |G| = {group.order} above the coefficients' top degree"
         )
     return value
+
+
+def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
+    """H^i(c), the hypercohomology of the trivial group with coefficients in c, read by `HyperTotal`.
+
+    The trivial group's resolution has F_0 = Z and nothing above it, so
+    Tot^n is the lattice complex L^n of c and no action matrix is read.
+    Only c's terms in degrees i-1, i and i+1 enter, so the resolution is
+    read to depth one whatever c's length.  Outside c's degrees H^i is 0.
+    """
+    if i not in c.degrees():
+        return AbelianInvariants(0)
+    lo = max(i - 1, c.lowest_degree)
+    first, last = lo - c.lowest_degree, i + 1 - c.lowest_degree  # the indices of degrees lo and i+1
+    window = BoundedComplex(c.group, lo, c.terms[first : last + 1], c.differentials[first:last], check=False)
+    return HyperTotal(c.group, window, i, small_resolution(_TRIVIAL_GROUP)).cohomology()
+
+
+def is_quasi_iso(phi: ComplexMap):
+    """Quasi-isomorphism test: phi is one exactly when its cone is acyclic.
+
+    Returns (verdict, report): the report holds the invariants of the
+    cone's cohomology in the degrees where it does not vanish, so it is
+    empty exactly when the verdict is True.
+    """
+    cn = cone(phi)
+    values = {i: cohomology_invariants(cn, i) for i in cn.degrees()}
+    report = {i: value for i, value in values.items() if not value.is_trivial}
+    return not report, report
 
 
 def group_cohomology(group: FiniteGroup, m: PresentedModule, degree: int) -> AbelianInvariants:

@@ -7,25 +7,19 @@ in degree 0.  `two_term` follows the fibre convention instead: P --(+f)--> Q
 with P in degree 0.
 
 `trim` and `cone` build their output unchecked: it is valid when their
-input is (see `cone`).  Whether H^i = 0 is one membership test with no
-Smith form (`_cohomology_vanishes`); the invariants of H^i are read off
-the subquotient presentation that `cohomology` returns
-(`cohomology_invariants`).  Shifts, fibres, resolutions and termwise duals
-serve only as the tests' references and live in `upic.reference`.
+input is (see `cone`).  This module holds the complexes, chain maps and
+cones only.  Their cohomology is the hypercohomology of the trivial group,
+read by `HyperTotal` like every other value (`cohomology.cohomology_invariants`
+and `cohomology.is_quasi_iso`).  Shifts, fibres, resolutions, termwise
+duals and the subquotient route to H^i serve only as the tests'
+references and live in `upic.reference`.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .groups import FiniteGroup
-from .intmatrix import (
-    AbelianInvariants,
-    IntMatrix,
-    cokernel_invariants,
-    cycle_lattice,
-    in_column_span,
-    subquotient_relations,
-)
+from .intmatrix import IntMatrix
 from .modules import ModuleMap, PresentedModule, direct_sum, zero_module
 
 
@@ -152,12 +146,13 @@ def cone(phi: ComplexMap) -> BoundedComplex:
 
     Built unchecked, so the caller must pass a valid chain map f: P -> Q
     between valid complexes: P and Q validated, and f validated or a zero
-    or identity map (`upic.reference.zero_chain_map`/`identity_chain_map`).  Then the differential D(p, q) = (-d_P p,
-    d_Q q - f p) has D^2(p, q) = (d_P^2 p, d_Q^2 q - d_Q f p + f d_P p) = 0
-    by d_P^2 = 0, d_Q^2 = 0 and d_Q f = f d_P, all modulo relations; D is
-    equivariant and keeps relations because its blocks do.  On any other
-    input D^2 may be nonzero, and whether the result has vanishing
-    cohomology (`is_quasi_iso`) means nothing.
+    or identity map (`upic.reference.zero_chain_map`/`identity_chain_map`).
+    Then the differential D(p, q) = (-d_P p, d_Q q - f p) has D^2(p, q) =
+    (d_P^2 p, d_Q^2 q - d_Q f p + f d_P p) = 0 by d_P^2 = 0, d_Q^2 = 0 and
+    d_Q f = f d_P, all modulo relations; D is equivariant and keeps
+    relations because its blocks do.  On any other input D^2 may be
+    nonzero, and whether the result has vanishing cohomology
+    (`cohomology.is_quasi_iso`) means nothing.
     """
     s, t = phi.source, phi.target
     group = t.group
@@ -174,50 +169,3 @@ def cone(phi: ComplexMap) -> BoundedComplex:
         bottom = phi.component(i + 1).matrix.neg().hstack(t.differential(i).matrix)
         diffs.append(ModuleMap(terms[i - lo], terms[i - lo + 1], top.vstack(bottom)))
     return BoundedComplex(group, lo, terms, diffs, check=False)
-
-
-def cohomology(c: BoundedComplex, i: int):
-    """ker(d_i)/im(d_{i-1}) inside the degree-i presentation.
-
-    Returns (cycles, relations) with H^i = Z^cycles.cols / span(relations):
-    the cycle columns are ambient vectors, the relations are in cycle
-    coordinates.  Relations of the degree-i term are folded into the
-    boundaries; the cycle lattice accounts for the relations of the
-    degree-(i+1) term.
-    """
-    m = c.term(i)
-    if m.gens == 0:
-        return IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)
-    cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
-    boundaries = c.differential(i - 1).matrix.hstack(m.relations)
-    return cycles, subquotient_relations(cycles, boundaries)
-
-
-def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
-    """Invariants of H^i(c), read off the presentation `cohomology` returns.
-
-    Callers: the torus comparison, whose degree-0 terms may have torsion,
-    and `is_quasi_iso`; on `homspace.upic_complex` it is the tested
-    reference for `homspace.upic_dual`'s own formula.
-    """
-    return cokernel_invariants(cohomology(c, i)[1])
-
-
-def _cohomology_vanishes(c: BoundedComplex, i: int) -> bool:
-    """H^i(c) = 0: every cycle lies in the span of the boundaries and the degree-i relations."""
-    if c.term(i).gens == 0:
-        return True
-    cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
-    return in_column_span(c.differential(i - 1).matrix.hstack(c.term(i).relations), zip(*cycles.data))
-
-
-def is_quasi_iso(phi: ComplexMap):
-    """Quasi-isomorphism test: phi is one exactly when its cone is acyclic.
-
-    Returns (verdict, report): the report holds the invariants of the
-    cone's cohomology in the degrees where it does not vanish only, so it
-    is empty when the verdict is True and a passing test costs no Smith form.
-    """
-    cn = cone(phi)
-    report = {i: cohomology_invariants(cn, i) for i in cn.degrees() if not _cohomology_vanishes(cn, i)}
-    return not report, report

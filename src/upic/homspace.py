@@ -14,14 +14,14 @@ diagonal, rank H^0 off the Euler characteristic, `_complex_cohomology`),
 and once through the five-term dual sequence (rank and torsion-order
 bookkeeping).  Any disagreement is raised as an internal error, never
 returned as a value.  The tested references for the formula are
-`complexes.cohomology_invariants` and the termwise dual of a resolution in
+`cohomology.cohomology_invariants` and the termwise dual of a resolution in
 `upic.reference`, which runs only in the tests.
 """
 
 from __future__ import annotations
 
-from .cohomology import hypercohomology
-from .complexes import BoundedComplex, ComplexMap, cohomology_invariants, is_quasi_iso, two_term
+from .cohomology import cohomology_invariants, hypercohomology, is_quasi_iso
+from .complexes import BoundedComplex, ComplexMap, two_term
 from .errors import ExactnessViolation, ValidationError
 from .groups import FiniteGroup
 from .intmatrix import (

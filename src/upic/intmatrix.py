@@ -19,9 +19,11 @@ the cycle columns and `subquotient_invariants` reads its invariants.
 `cohomology.HyperTotal` reads cohomology ker(d_out) / im(d_in) of a
 complex of lattices by one route, `free_cohomology`: ker(d_out) is
 saturated, so the quotient comes off ranks and one Smith diagonal, with no
-transforms or solves.  `cycle_lattice` and `subquotient_invariants` serve
-the cyclic oracle, the complexes of modules with relations (`complexes`)
-and the greedy resolution's kernels, and they are the tests' reference.
+transforms or solves, and so is a complex's own cohomology.  At run time
+`cycle_lattice` serves the greedy resolution's kernels, and with
+`subquotient_invariants` the cyclic oracle, whose value is that it shares
+no route with `HyperTotal`.  They are also the tests' reference route
+(`upic.reference`).
 
 A lattice, fixed or growing, is a `LatticeSpan`: sparse basis vectors
 kept in column Hermite form, the normal form `kernels.hnf_cols` gives, so

@@ -132,12 +132,8 @@ def validate_module(m: PresentedModule) -> list:
 
 
 def zero_module(group: FiniteGroup) -> PresentedModule:
-    """The module on no generators, built once per group and shared: nothing mutates a module."""
-    m = group._zero_module
-    if m is None:
-        m = PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
-        group._zero_module = m
-    return m
+    """The module on no generators."""
+    return PresentedModule(group, 0, IntMatrix.zeros(0, 0), [IntMatrix.zeros(0, 0)] * group.order)
 
 
 def free_module(group: FiniteGroup, action) -> PresentedModule:
@@ -213,13 +209,11 @@ def equivariant_presentation(m: PresentedModule):
     basis of the relation columns, and R is the lattice it spans, with the
     action X_g solving iota * X_g == rho(g) * iota, uniquely, as the
     columns are independent.  A module without relations is its own
-    presentation, with R zero (built here, not by `zero_module`, whose
-    module the group keeps and which would tie the two into a cycle).  A
-    module whose action moves a relation out of the relation lattice has
-    no R, and raises ValidationError.
+    presentation, with R zero.  A module whose action moves a relation out
+    of the relation lattice has no R, and raises ValidationError.
     """
     if not m.relations.cols:
-        return m, free_module(m.group, [IntMatrix.zeros(0, 0)] * m.group.order), IntMatrix.zeros(m.gens, 0)
+        return m, zero_module(m.group), IntMatrix.zeros(m.gens, 0)
     h, _, pivots = m.relations.hermite()
     rank = len(pivots)  # the pivot columns come first
     iota = IntMatrix(m.gens, rank, [row[:rank] for row in h.data])
@@ -310,10 +304,6 @@ class ModuleMap:
     @classmethod
     def zero(cls, source: PresentedModule, target: PresentedModule) -> "ModuleMap":
         return cls(source, target, IntMatrix.zeros(target.gens, source.gens))
-
-    @classmethod
-    def identity(cls, m: PresentedModule) -> "ModuleMap":
-        return cls(m, m, IntMatrix.identity(m.gens))
 
     def _connects(self, source: PresentedModule, target: PresentedModule) -> bool:
         # equal, not only identical: callers build equal modules separately

@@ -14,7 +14,11 @@ the helpers only those use.  Sign conventions, beside the cone's:
 
 `relation_route` is the cohomology route `HyperTotal` took before every
 coefficient complex became a complex of lattices: cochains on the
-generators of each term, read modulo the relation lattices.
+generators of each term, read modulo the relation lattices.  `cohomology`
+is the route a complex's own cohomology took before it was read as
+hypercohomology over the trivial group: the cycle lattice and the
+subquotient presentation on it, with the membership test
+`_cohomology_vanishes` for H^i = 0.
 
 A complex of lattices on a basis (no term has relation columns) is its
 own torsion-free resolution, and `resolve_torsion_free` returns the
@@ -26,12 +30,11 @@ lowest degree when that term is a lattice on a basis, else one below.
 
 from __future__ import annotations
 
-from .cohomology import hom_differential
-from .complexes import BoundedComplex, ComplexMap, _cohomology_vanishes, cohomology, cone, is_quasi_iso, one_term
-from .complexes import two_term, zero_complex
+from .cohomology import hom_differential, is_quasi_iso
+from .complexes import BoundedComplex, ComplexMap, cone, one_term, two_term, zero_complex
 from .errors import ExactnessViolation, HasTorsion, NotExact, PreconditionH0, ValidationError
 from .intmatrix import AbelianInvariants, IntMatrix, SparseCols, cycle_lattice, in_column_span, smith_normal_form
-from .intmatrix import solve_integer, subquotient_invariants, unimodular_inverse
+from .intmatrix import solve_integer, subquotient_invariants, subquotient_relations, unimodular_inverse
 from .modules import ModuleMap, PresentedModule, direct_sum_many, free_module, induced_module, lattice_form, zero_module
 
 
@@ -80,6 +83,31 @@ def relation_route(coeffs: BoundedComplex, degree: int, resolution) -> AbelianIn
     return subquotient_invariants(cycle_lattice(d_at, rel_above), d_below.to_dense().hstack(relations(at)))
 
 
+def cohomology(c: BoundedComplex, i: int):
+    """ker(d_i)/im(d_{i-1}) inside the degree-i presentation.
+
+    Returns (cycles, relations) with H^i = Z^cycles.cols / span(relations):
+    the cycle columns are ambient vectors, the relations are in cycle
+    coordinates.  Relations of the degree-i term are folded into the
+    boundaries; the cycle lattice accounts for the relations of the
+    degree-(i+1) term.
+    """
+    m = c.term(i)
+    if m.gens == 0:
+        return IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)
+    cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
+    boundaries = c.differential(i - 1).matrix.hstack(m.relations)
+    return cycles, subquotient_relations(cycles, boundaries)
+
+
+def _cohomology_vanishes(c: BoundedComplex, i: int) -> bool:
+    """H^i(c) = 0: every cycle lies in the span of the boundaries and the degree-i relations."""
+    if c.term(i).gens == 0:
+        return True
+    cycles = cycle_lattice(c.differential(i).matrix, c.term(i + 1).relations)
+    return in_column_span(c.differential(i - 1).matrix.hstack(c.term(i).relations), zip(*cycles.data))
+
+
 def structurally_equal(c: BoundedComplex, other: BoundedComplex) -> bool:
     a, b = c.trim(), other.trim()
     if a.group != b.group:
@@ -125,12 +153,16 @@ def neg_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, f.target, f.matrix.neg())
 
 
+def identity_map(m: PresentedModule) -> ModuleMap:
+    return ModuleMap(m, m, IntMatrix.identity(m.gens))
+
+
 def zero_chain_map(source: BoundedComplex, target: BoundedComplex) -> ComplexMap:
     return ComplexMap(source, target, {}, check=False)
 
 
 def identity_chain_map(c: BoundedComplex) -> ComplexMap:
-    return ComplexMap(c, c, {i: ModuleMap.identity(c.term(i)) for i in c.degrees()}, check=False)
+    return ComplexMap(c, c, {i: identity_map(c.term(i)) for i in c.degrees()}, check=False)
 
 
 def add_relations(m: PresentedModule, extra: IntMatrix) -> PresentedModule:
@@ -308,7 +340,7 @@ def resolve_torsion_free(y: BoundedComplex) -> ComplexMap:
     group = y.group
     yt = y.trim()
     if not any(term.relations.cols for term in yt.terms):
-        return ComplexMap(yt, y, {i: ModuleMap.identity(yt.term(i)) for i in yt.degrees()}, check=False)
+        return ComplexMap(yt, y, {i: identity_map(yt.term(i)) for i in yt.degrees()}, check=False)
     lo, hi = yt.lowest_degree, yt.highest_degree
     stop = lo if not yt.terms[0].relations.cols else lo - 1
 

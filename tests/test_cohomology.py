@@ -490,6 +490,13 @@ class TestHyper:
             hypercohomology(g, two_term(ModuleMap.zero(s, s)), 10**9)
         assert g._resolution is None
 
+    def test_degree_bound_counts_from_the_lowest_degree(self):
+        # H^5 of Z placed in degree 3 is H^2(C2, Z) and reads F_0..F_3 only
+        z = one_term(trivial_module(C2), 3)
+        assert hypercohomology(C2, z, 5) == AbelianInvariants(0, [2])
+        with pytest.raises(BudgetExceeded, match="degree 8 is over the limit 7"):
+            hypercohomology(C2, z, 8)
+
     def test_cochain_rank_limit(self, monkeypatch):
         # C40 with trivial Z: over the small resolution (one generator per
         # degree) H^2 is computed; over the bar resolution its degree-3

@@ -320,6 +320,26 @@ class TestDirectSum:
             direct_sum_many([trivial_module(s3), trivial_module(FiniteGroup.cyclic(2))])
 
 
+class TestZeroModule:
+    def test_forms_no_cycle_with_its_group(self):
+        """A zero module is built afresh, not kept on its group, so a dropped group is freed by reference counting."""
+        import gc
+
+        from upic.complexes import one_term
+
+        builds = (zero_module, lambda g: one_term(trivial_module(g), 0).term(1))
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for build in builds:
+                assert build(FiniteGroup.cyclic(6)).gens == 0
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestNormOne:
     def test_degree_2(self):
         m = norm_one_lattice(2)

@@ -32,6 +32,7 @@ MOVED_FUNCTIONS = (
     "add_relations",
     "dual_lattice",
     "relation_route",
+    "_cohomology_vanishes",
 )
 MOVED_METHODS = {
     BoundedComplex: ("structurally_equal",),
@@ -41,6 +42,7 @@ MOVED_METHODS = {
 # methods that became functions under another name, as `zero` and `identity` say little outside their class
 RENAMED_METHODS = {
     (ModuleMap, "neg"): "neg_map",
+    (ModuleMap, "identity"): "identity_map",
     (ComplexMap, "zero"): "zero_chain_map",
     (ComplexMap, "identity"): "identity_chain_map",
 }
@@ -90,6 +92,21 @@ def test_moved_names_live_only_in_the_reference():
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
     for cls, name in RENAMED_METHODS:
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_complexes_hold_no_cohomology_route():
+    """`complexes` defines the complexes, chain maps and cones only.  Their cohomology is read in
+    `upic.cohomology`, and the subquotient route, `upic.reference.cohomology`, is the tests' reference."""
+    import upic.cohomology
+    import upic.reference as reference
+
+    defined = {name for name, obj in vars(complexes).items() if getattr(obj, "__module__", None) == complexes.__name__}
+    assert defined == {"BoundedComplex", "ComplexMap", "one_term", "two_term", "zero_complex", "cone"}
+    for name in ("cycle_lattice", "subquotient_relations", "in_column_span", "cokernel_invariants"):
+        assert not hasattr(complexes, name), name
+    assert reference.cohomology.__module__ == reference.__name__
+    for name in ("cohomology_invariants", "is_quasi_iso"):
+        assert getattr(upic, name) is getattr(upic.cohomology, name) and name in upic.__all__
 
 
 def test_public_surface_resolves():
