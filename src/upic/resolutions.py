@@ -19,11 +19,12 @@ its generators of F_p and that check.
   RESOLUTION_BUILD_LIMIT bounds the lattice whose kernel is taken.
 * Constructed (`AbelianResolution`: a nontrivial abelian group).  The
   group is a product <t_1> x ... x <t_k> of cyclic groups of orders
-  d_1 | ... | d_k (`factor_basis`).  A cyclic factor has the periodic
-  resolution ... -N-> Z[C] -(t-1)-> Z[C] -> Z, and the group has their
-  tensor product (Brown, Cohomology of Groups, GTM 87, I.6 and V.1): F_n
-  is free on the compositions p of n into k parts, so r_n = C(n+k-1, k-1),
-  and
+  d_1 | ... | d_k (`factor_basis`: a cyclic group's coordinates are
+  read off a generator, any other's off a Smith form).  A cyclic factor
+  has the periodic resolution ... -N-> Z[C] -(t-1)-> Z[C] -> Z, and the
+  group has their tensor product (Brown, Cohomology of Groups, GTM 87,
+  I.6 and V.1): F_n is free on the compositions p of n into k parts, so
+  r_n = C(n+k-1, k-1), and
 
       d e_p = sum over i with p_i > 0 of (-1)^(p_1+...+p_(i-1)) delta_i e_(p-u_i),
 
@@ -31,15 +32,18 @@ its generators of F_p and that check.
   for p_i even.  Exactness is certified with no kernel step:
   d_(n+1) h_n + h_(n-1) d_n = 1 on the Z-basis {g e_p}, with
   h_(-1) = eta: Z -> F_0, for a Z-linear contracting homotopy h (as in
-  Ellis's HAP, J. Symbolic Comput. 38, 2004).  On a cyclic factor
-  h(t^a e_p) = (1 + t + ... + t^(a-1)) e_(p+1) for p even and
-  [a = d-1] e_(p+1) for p odd; on a product, H = h (x) 1 + eta eps (x) h'.
+  Ellis's HAP, J. Symbolic Comput. 38, 2004).  On a cyclic factor, for
+  p even, h(t^a e_p) is the shorter of (1 + t + ... + t^(a-1)) e_(p+1),
+  taken for a <= floor(d/2), and -(t^a + ... + t^(d-1)) e_(p+1), taken
+  above it (the two differ by N e_(p+1)); for p odd it is then
+  [a = floor(d/2)] e_(p+1).  On a product, H = h (x) 1 + eta eps (x) h'.
   The identity on F_n gives exactness there: a cycle x is d(h x).  A
   factor basis that is not a group isomorphism fails the certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -163,12 +167,21 @@ def factor_basis(group: FiniteGroup):
     """Invariant factors d_1 | ... | d_k > 1 of an abelian group, and each element's coordinates.
 
     Element x has coordinates (a_1, .., a_k), 0 <= a_i < d_i, meaning
-    x = t_1^a_1 ... t_k^a_k.  They come from the Smith form U R V = D of the
-    Schreier relations R of `group.generators()`: a column
-    w(s x) - w(x) - u_s for each generator s and element x, where w(x) is
-    the exponent vector of x's breadth-first word.  Then x has coordinates
-    U w(x) mod D, less the rows where D is 1.
+    x = t_1^a_1 ... t_k^a_k.  A cyclic group has k = 1: t_1 is
+    `group.cyclic_generator()`, and t_1^a has coordinates (a,).  Otherwise
+    they come from the Smith form U R V = D of the Schreier relations R of
+    `group.generators()`: a column w(s x) - w(x) - u_s for each generator s
+    and element x, where w(x) is the exponent vector of x's breadth-first
+    word.  Then x has coordinates U w(x) mod D, less the rows where D is 1.
     """
+    t = group.cyclic_generator()
+    if t is not None:
+        coords = [None] * group.order
+        x = group.identity
+        for a in range(group.order):
+            coords[x] = (a,)
+            x = group.table[t][x]
+        return [group.order], coords
     gens = group.generators()
     word = {group.identity: (0,) * len(gens)}
     for y, i, x in group.breadth_first_words(gens):
@@ -198,47 +211,71 @@ def _compositions(n: int, k: int) -> list:
 class AbelianResolution(_Resolution):
     """The tensor product of the periodic resolutions of an abelian group's cyclic factors.
 
-    The ranks are known in closed form; `_h_top` keeps the contracting
-    homotopy h_(p-1) of the top level p kept (h_(-1) = eta once a level is built).
+    The ranks are known in closed form.  Both tables below are built once,
+    with the check that the coordinates number the group's elements:
+    `_powers[i][a]` is t_i^a (so `_powers[0][0]` is the element with
+    coordinates 0), and `_terms[i][x]` is what factor i's homotopy reads at
+    x, for y = x with a_1 .. a_i set to 0: the sign and the elements of the
+    shorter of sum_(b<a_i) t_i^b y and -sum_(b>=a_i) t_i^b y, and y itself
+    if a_i = floor(d_i/2), else None.  `_h_top` keeps the contracting
+    homotopy h_(p-1) of the top level p kept (h_(-1) = eta at the start).
     """
 
-    __slots__ = ("orders", "coords", "_h_top")
+    __slots__ = ("orders", "coords", "_powers", "_terms", "_h_top")
 
     def __init__(self, group: FiniteGroup):
         super().__init__(group)
-        self.orders, self.coords = factor_basis(group)
-        self._h_top = None
+        self.orders, self.coords = orders, coords = factor_basis(group)
+        n = group.order
+        # the elements in the lexicographic order of their coordinates; the last moves fastest
+        element = dict(zip(coords, range(n)))
+        elements = [element.get(a) for a in itertools.product(*map(range, orders))]
+        if len(elements) != n or None in elements:
+            raise ExactnessViolation("the factor coordinates do not number the group's elements")
+        self._powers, self._terms = [], []
+        for i, d in enumerate(orders):
+            # the elements with a_i = a and later coordinates those of tail sit at head * span + a * step + tail
+            step = math.prod(orders[i + 1 :])
+            span, half = d * step, d // 2
+            self._powers.append(elements[0:span:step])
+            terms = [None] * n
+            for tail in range(step):
+                line = elements[tail:span:step]
+                for a in range(d):
+                    run = (1, line[:a]) if a <= half else (-1, line[a:])
+                    term = (*run, line[0] if a == half else None)
+                    for x in elements[a * step + tail :: span]:
+                        terms[x] = term
+            self._terms.append(terms)
+        self._h_top = self._homotopy(-1)
 
     def rank(self, p: int) -> int:
         return math.comb(p + len(self.orders) - 1, p)
 
     def _level(self, p: int, d_below: SparseCols):
-        element = {a: x for x, a in enumerate(self.coords)}
-        if len(element) != self.group.order:
-            raise ExactnessViolation("the factor coordinates do not number the group's elements")
-        if self._h_top is None:
-            self._h_top = self._homotopy(-1, element)
-        return self._generators(p, element), element
+        return self._generators(p), None
 
-    def _exact(self, p: int, d_below: SparseCols, d_at: SparseCols, element: dict):
-        """d_p h_(p-1) + h_(p-2) d_(p-1) = 1 on F_(p-1), summed column by column."""
-        h_at = self._homotopy(p - 1, element)
-        for c, col in enumerate(h_at.entries):
-            acc = {}
-            for right, left in ((col, d_at.entries), (d_below.entries[c], self._h_top.entries)):
-                for mid, v in right.items():
-                    for r, w in left[mid].items():
-                        acc[r] = acc.get(r, 0) + v * w
-            if {r: x for r, x in acc.items() if x} != {c: 1}:
+    def _exact(self, p: int, d_below: SparseCols, d_at: SparseCols, witness):
+        """d_p h_(p-1) + h_(p-2) d_(p-1) - 1 vanishes on F_(p-1), summed column by column."""
+        h_at = self._homotopy(p - 1)
+        d_cols, h_cols = d_at.entries, self._h_top.entries
+        for c, (h_col, d_col) in enumerate(zip(h_at.entries, d_below.entries)):
+            acc = {c: -1}
+            for mid, v in h_col.items():
+                for r, w in d_cols[mid].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            for mid, v in d_col.items():
+                for r, w in h_cols[mid].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
                 raise ExactnessViolation(f"the contracting homotopy fails on F_{p - 1}")
         self._h_top = h_at
 
-    def _generators(self, p: int, element: dict) -> list:
+    def _generators(self, p: int) -> list:
         """The boundaries of the generators of F_p, one per composition of p."""
         k = len(self.orders)
-        # powers[i][a] = t_i^a, the element with coordinate a on factor i and 0 elsewhere
-        powers = [[element[(0,) * i + (a,) + (0,) * (k - 1 - i)] for a in range(d)] for i, d in enumerate(self.orders)]
-        e = element[(0,) * k]
+        powers = self._powers
+        e = powers[0][0]
         below = {q: j for j, q in enumerate(_compositions(p - 1, k))}
         out = []
         for q in _compositions(p, k):
@@ -257,32 +294,32 @@ class AbelianResolution(_Resolution):
             out.append(bd)
         return out
 
-    def _homotopy(self, p: int, element: dict) -> SparseCols:
+    def _homotopy(self, p: int) -> SparseCols:
         """h_p: F_p -> F_(p+1) on the Z-bases, and h_(-1) = eta: Z -> F_0."""
-        n, orders = self.group.order, self.orders
-        k = len(orders)
+        n, k = self.group.order, len(self.orders)
         if p < 0:
             out = SparseCols(n, 1)
-            out.entries[0] = {element[(0,) * k]: 1}
+            out.entries[0] = {self._powers[0][0]: 1}
             return out
         above = {q: j for j, q in enumerate(_compositions(p + 1, k))}
         comps = _compositions(p, k)
         out = SparseCols(len(above) * n, len(comps) * n)
         for j, q in enumerate(comps):
-            for x, a in enumerate(self.coords):
-                col = out.entries[j * n + x]
-                # the term eta eps (x) .. (x) eta eps (x) h (x) 1 .. (x) 1 with h on factor i
-                # needs q_1 = .. = q_(i-1) = 0, and sends a_1 .. a_(i-1) to 0
-                for i, qi in enumerate(q):
-                    row = above[q[:i] + (qi + 1,) + q[i + 1 :]] * n
-                    head, tail = (0,) * i, a[i + 1 :]
-                    if qi % 2 == 0:
-                        for b in range(a[i]):
-                            col[row + element[head + (b,) + tail]] = 1
-                    elif a[i] == orders[i] - 1:
-                        col[row + element[head + (0,) + tail]] = 1
-                    if qi:
-                        break
+            # the term eta eps (x) .. (x) eta eps (x) h (x) 1 .. (x) 1 with h on factor i
+            # needs q_1 = .. = q_(i-1) = 0, and sends a_1 .. a_(i-1) to 0
+            factors = []
+            for i, qi in enumerate(q):
+                factors.append((above[q[:i] + (qi + 1,) + q[i + 1 :]] * n, qi % 2, self._terms[i]))
+                if qi:
+                    break
+            for x, col in enumerate(out.entries[j * n : (j + 1) * n]):
+                for row, odd, terms in factors:
+                    sign, run, hit = terms[x]
+                    if not odd:
+                        for g in run:
+                            col[row + g] = sign
+                    elif hit is not None:
+                        col[row + hit] = 1
         return out
 
 

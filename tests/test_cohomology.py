@@ -852,6 +852,10 @@ ABELIAN_CHAINS = {
 }
 
 
+# the tamper tests' inputs: a product, and cyclic groups of even and odd order
+TAMPERED_CHAINS = [(2, 4), (6,), (7,)]
+
+
 class TestAbelianResolution:
     @pytest.mark.parametrize("name", list(ABELIAN_CHAINS))
     def test_agrees_with_greedy_and_bar(self, name):
@@ -896,8 +900,8 @@ class TestAbelianResolution:
         # first generator below added to it, which breaks d d = 0
         real = AbelianResolution._generators
 
-        def tampered(self, p, element):
-            gens = real(self, p, element)
+        def tampered(self, p):
+            gens = real(self, p)
             if p == level:
                 last = gens[-1]
                 if kind == "doubled":
@@ -909,31 +913,57 @@ class TestAbelianResolution:
             return gens
 
         monkeypatch.setattr(AbelianResolution, "_generators", tampered)
-        with pytest.raises(ExactnessViolation, match=message):
-            AbelianResolution(_primary_product((2, 4))).boundary(3)
+        for chain in TAMPERED_CHAINS:
+            with pytest.raises(ExactnessViolation, match=message):
+                AbelianResolution(_primary_product(chain)).boundary(3)
 
     @pytest.mark.parametrize("degree", [-1, 0, 1, 2])
     def test_dropped_homotopy_entry(self, monkeypatch, degree):
+        # the first entry of the last nonzero column; on a cyclic group in odd
+        # degree that column's only entry, at a = floor(d/2)
         real = AbelianResolution._homotopy
 
-        def tampered(self, p, element):
-            h = real(self, p, element)
+        def tampered(self, p):
+            h = real(self, p)
             if p == degree:
                 col = next(col for col in reversed(h.entries) if col)
                 del col[next(iter(col))]
             return h
 
         monkeypatch.setattr(AbelianResolution, "_homotopy", tampered)
-        with pytest.raises(ExactnessViolation, match=f"contracting homotopy fails on F_{max(degree, 0)}"):
-            AbelianResolution(_primary_product((2, 4))).boundary(3)
+        for chain in TAMPERED_CHAINS:
+            with pytest.raises(ExactnessViolation, match=f"contracting homotopy fails on F_{max(degree, 0)}"):
+                AbelianResolution(_primary_product(chain)).boundary(3)
 
-    def test_permuted_factor_coordinate(self):
-        # values 1 and 2 of the C4 coordinate swapped: still a bijection onto
-        # Z/2 x Z/4, but not a homomorphism
-        res = AbelianResolution(_primary_product((2, 4)))
-        res.coords = [a[:1] + ({1: 2, 2: 1}.get(a[1], a[1]),) for a in res.coords]
-        with pytest.raises(ExactnessViolation, match="contracting homotopy"):
-            res.boundary(3)
+    def test_permuted_factor_coordinate(self, monkeypatch):
+        # values 1 and 2 of the last coordinate swapped: still a bijection
+        # onto the factors' product, but not a homomorphism
+        real = resolutions.factor_basis
+
+        def permuted(group):
+            orders, coords = real(group)
+            return orders, [a[:-1] + ({1: 2, 2: 1}.get(a[-1], a[-1]),) for a in coords]
+
+        monkeypatch.setattr(resolutions, "factor_basis", permuted)
+        for chain in TAMPERED_CHAINS:
+            with pytest.raises(ExactnessViolation, match="contracting homotopy"):
+                AbelianResolution(_primary_product(chain)).boundary(3)
+
+    def test_cyclic_coordinates_come_from_a_generator(self, rng):
+        # seeded relabellings of C_n's table: one factor, and coordinates
+        # that are a bijection onto Z/n and additive
+        for n in [*range(2, 13), 48]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inv = {y: x for x, y in enumerate(perm)}
+            table = [[perm[(inv[x] + inv[y]) % n] for y in range(n)] for x in range(n)]
+            g = FiniteGroup(table)
+            orders, coords = resolutions.factor_basis(g)
+            assert orders == [n]
+            assert sorted(coords) == [(a,) for a in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    assert coords[table[x][y]] == ((coords[x][0] + coords[y][0]) % n,)
 
     def test_repeated_factor_coordinate(self, monkeypatch):
         # two elements given the same coordinates: no numbering of the group
