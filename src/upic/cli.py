@@ -207,6 +207,7 @@ FIXTURES = {
     "sl2_pgl2_comparison": "central extension comparison diagram; verdict true, H^1 = Z/2 throughout",
     "biquadratic_norm_one": "biquadratic norm-one torus; pic = Z/2 x Z/2, brauer_a = Z/2",
     "quadratic_sign_stabilizer": "order-4 stabilizer characters inverted by a quadratic action; pic = Z/2, brauer_a = Z/2, dual (Z/4, 0)",
+    "norm_one_d4": "norm-one torus of a D4 extension (splitting field of x^4 - 2); pic = Z/2 x Z/2, brauer_a = Z/2",
 }
 
 FIXTURE_EXPECTATIONS = {
@@ -224,6 +225,7 @@ FIXTURE_EXPECTATIONS = {
         "brauer_a(D)": "Z/2",
         "upic_dual(D)": "H0=Z/4, H-1=0",
     },
+    "norm_one_d4": {"pic(D)": "Z/2 x Z/2", "brauer_a(D)": "Z/2"},
 }
 
 

@@ -19,9 +19,10 @@ machine-checked on every instance before any invariant is reported, and a
 value above the complex's top degree must be finite of exponent dividing
 |G| (`hypercohomology`).  Group cohomology is the one-term case: the
 module placed in degree 0.  The cohomology of a complex is its
-hypercohomology over the trivial group, whose resolution is F_0 = Z alone
-(`cohomology_invariants`), and a chain map is a quasi-isomorphism when
-every such group of its cone vanishes (`is_quasi_iso`).
+hypercohomology over the trivial group, whose resolution is F_0 = Z
+alone, with the complex restricted to it (`cohomology_invariants`), and
+a chain map is a quasi-isomorphism when every such group of its cone
+vanishes (`is_quasi_iso`).
 
 DEGREE_LIMIT bounds how far above the coefficients' lowest degree
 HyperTotal is asked for a value, which is the depth of the resolution it
@@ -52,7 +53,7 @@ from .intmatrix import (
     subquotient_invariants,
     unimodular_inverse,
 )
-from .modules import PresentedModule, equivariant_presentation
+from .modules import ModuleMap, PresentedModule, equivariant_presentation
 from .resolutions import AbelianResolution, SmallResolution, small_resolution
 
 # Largest degree HyperTotal computes above the coefficients' lowest degree:
@@ -315,17 +316,22 @@ def hypercohomology(group: FiniteGroup, coeffs: BoundedComplex, degree: int) -> 
 def cohomology_invariants(c: BoundedComplex, i: int) -> AbelianInvariants:
     """H^i(c), the hypercohomology of the trivial group with coefficients in c, read by `HyperTotal`.
 
-    The trivial group's resolution has F_0 = Z and nothing above it, so
-    Tot^n is the lattice complex L^n of c and no action matrix is read.
-    Only c's terms in degrees i-1, i and i+1 enter, so the resolution is
-    read to depth one whatever c's length.  Outside c's degrees H^i is 0.
+    c is restricted to the trivial group, whose resolution has F_0 = Z and
+    nothing above it, so Tot^n is the lattice complex L^n of c, and no
+    action is read or solved for.  Only c's terms in degrees i-1, i and
+    i+1 enter, so the resolution is read to depth one whatever c's length.
+    Outside c's degrees H^i is 0.
     """
     if i not in c.degrees():
         return AbelianInvariants(0)
     lo = max(i - 1, c.lowest_degree)
     first, last = lo - c.lowest_degree, i + 1 - c.lowest_degree  # the indices of degrees lo and i+1
-    window = BoundedComplex(c.group, lo, c.terms[first : last + 1], c.differentials[first:last], check=False)
-    return HyperTotal(c.group, window, i, small_resolution(_TRIVIAL_GROUP)).cohomology()
+    terms = [
+        PresentedModule(_TRIVIAL_GROUP, m.gens, m.relations, [IntMatrix.identity(m.gens)])
+        for m in c.terms[first : last + 1]
+    ]
+    maps = [ModuleMap(a, b, d.matrix) for a, b, d in zip(terms, terms[1:], c.differentials[first:last])]
+    return HyperTotal(_TRIVIAL_GROUP, BoundedComplex(_TRIVIAL_GROUP, lo, terms, maps, check=False), i).cohomology()
 
 
 def is_quasi_iso(phi: ComplexMap):

@@ -208,9 +208,12 @@ def equivariant_presentation(m: PresentedModule):
     F is m's generators and action with no relations; iota is the Hermite
     basis of the relation columns, and R is the lattice it spans, with the
     action X_g solving iota * X_g == rho(g) * iota, uniquely, as the
-    columns are independent.  A module without relations is its own
-    presentation, with R zero.  A module whose action moves a relation out
-    of the relation lattice has no R, and raises ValidationError.
+    columns are independent; where the identity acts by the identity
+    matrix, X_e is the identity with no solve, so a module over the
+    trivial group solves for nothing.  A module without relations is its
+    own presentation, with R zero.  A module whose action moves a
+    relation out of the relation lattice has no R, and raises
+    ValidationError.
     """
     if not m.relations.cols:
         return m, zero_module(m.group), IntMatrix.zeros(m.gens, 0)
@@ -219,6 +222,9 @@ def equivariant_presentation(m: PresentedModule):
     iota = IntMatrix(m.gens, rank, [row[:rank] for row in h.data])
     action = []
     for g, rho in enumerate(m.action):
+        if g == m.group.identity and rho == IntMatrix.identity(m.gens):
+            action.append(IntMatrix.identity(rank))
+            continue
         cols = [solve_integer(iota, col) for col in rho.mul(iota).columns()]
         if None in cols:
             raise ValidationError([f"action of element {g} does not preserve the relation lattice"])

@@ -6,14 +6,15 @@ for each free generator of F_p, its boundary as a Z[G]-combination
 `cohomology.hom_differential` reads.  `small_resolution` gives a group its
 default resolution, kept on the group and grown as degrees are asked.
 
-Both routes grow the same way (`_Resolution`).  d_0 is the augmentation
+Every route grows the same way (`_Resolution`).  d_0 is the augmentation
 F_0 -> Z.  A new level's d_p is built on the Z-bases {g e_j}
 (`z_boundary`), so it is a G-map by construction and d_(p-1) d_p = 0 is
 checked on the generator columns only; then the route's exactness check
 runs, and only a certified level is kept.  A route supplies nothing else:
 its generators of F_p and that check.
 
-* Greedy (`SmallResolution`: the trivial group and every nonabelian one).
+* Greedy (`SmallResolution`: the trivial group and every nonabelian one
+  that is not dihedral: A4, Q8, S4, ...).
   F_p is generated greedily from the Hermite basis of ker d_(p-1)
   (`_choose_generators`), and the image of d_p must hold that basis.
   RESOLUTION_BUILD_LIMIT bounds the lattice whose kernel is taken.
@@ -39,6 +40,25 @@ its generators of F_p and that check.
   [a = floor(d/2)] e_(p+1).  On a product, H = h (x) 1 + eta eps (x) h'.
   The identity on F_n gives exactness there: a cycle x is d(h x).  A
   factor basis that is not a group isomorphism fails the certificate.
+* Twisted (`DihedralResolution`: D_m = C_m x| C_2 with m >= 3, that is,
+  an element s of order m = |G|/2 and an involution t outside <s> with
+  t s t = s^-1, found by `dihedral_basis`).  x = t^b s^a has coordinates
+  (b, a), with factor orders (2, m); F_n is free on e_(p,q), p + q = n,
+  so r_n = n + 1, and
+
+      d e_(p,q) = (eps_q t u_q + sigma_p) e_(p-1,q) + (-1)^p D_q e_(p,q-1),
+
+  with sigma_p = -1 for p odd and +1 for p even, D_q = s - 1 for q odd
+  and N_s = 1 + s + ... + s^(m-1) for q even, and (eps_q, u_q) = (1, 1),
+  (-1, s^-1), (-1, 1), (1, s^-1) for q = 0, 1, 2, 3 mod 4: the chain
+  involution of C_m's resolution over conjugation by t.  It is Wall's
+  resolution of the split extension (Wall, Proc. Cambridge Philos. Soc.
+  57, 1961) with no perturbation terms, as the twist is an involution on
+  the nose.  The homotopy is Phi H Phi, H the abelian route's on the
+  coordinates (b, a) and Phi the signed permutation of each Z-basis that
+  fixes s^a e_(p,q) and sends t s^a e_(p,q) to eps_q t s^-a u_q e_(p,q):
+  Phi^2 = 1 and Phi d_plain Phi = d for the untwisted d_plain of
+  C_2 x C_m, so d h + h d = 1 is certified on the full Z-basis as there.
 """
 
 from __future__ import annotations
@@ -69,11 +89,13 @@ _EXTEND_LOCK = threading.Lock()
 def z_boundary(group: FiniteGroup, gens: list, rows: int) -> SparseCols:
     """d_p on the Z-bases {g e_j}: column i*|G| + h is h times the boundary of generator i."""
     n = group.order
-    out = SparseCols(rows, len(gens) * n)
-    for i, bd in enumerate(gens):
-        for h in range(n):
-            row_h = group.table[h]
-            out.entries[i * n + h] = {j * n + row_h[g]: c for (j, g), c in bd.items()}
+    out = SparseCols(rows, 0)
+    out.cols = len(gens) * n
+    entries = out.entries
+    for bd in gens:
+        terms = [(j * n, g, c) for (j, g), c in bd.items()]
+        for row in group.table:
+            entries.append({base + row[g]: c for base, g, c in terms})
     return out
 
 
@@ -219,13 +241,15 @@ class AbelianResolution(_Resolution):
     shorter of sum_(b<a_i) t_i^b y and -sum_(b>=a_i) t_i^b y, and y itself
     if a_i = floor(d_i/2), else None.  `_h_top` keeps the contracting
     homotopy h_(p-1) of the top level p kept (h_(-1) = eta at the start).
+    `basis` is (orders, coordinates) as `factor_basis` gives them, which
+    it defaults to.
     """
 
     __slots__ = ("orders", "coords", "_powers", "_terms", "_h_top")
 
-    def __init__(self, group: FiniteGroup):
+    def __init__(self, group: FiniteGroup, basis: tuple | None = None):
         super().__init__(group)
-        self.orders, self.coords = orders, coords = factor_basis(group)
+        self.orders, self.coords = orders, coords = basis or factor_basis(group)
         n = group.order
         # the elements in the lexicographic order of their coordinates; the last moves fastest
         element = dict(zip(coords, range(n)))
@@ -323,6 +347,89 @@ class AbelianResolution(_Resolution):
         return out
 
 
+# (eps_q, k) for q = 0, 1, 2, 3 mod 4: in a dihedral group's boundaries the C_2
+# factor's t acts on degree q of the C_m factor as eps_q t u_q, with u_q = s^-k
+_TWIST = ((1, 0), (-1, 1), (-1, 0), (1, 1))
+
+
+def dihedral_basis(group: FiniteGroup):
+    """(rotations, t) for G = D_m, m = |G|/2 >= 3, or None for any other group.
+
+    rotations lists s^0 .. s^(m-1) for an s of order m, and t is an
+    involution outside <s> with t s t = s^-1.  The first s of order m
+    decides: in D_m with m >= 3 every element of order m is a rotation.
+    """
+    m, table, e = group.order // 2, group.table, group.identity
+    if group.order % 2 or m < 3:
+        return None
+    s = next((x for x in range(group.order) if group.element_order(x) == m), None)
+    if s is None:
+        return None
+    rotations = [e]
+    for _ in range(m - 1):
+        rotations.append(table[s][rotations[-1]])
+    inside = set(rotations)
+    for t in range(group.order):
+        if t not in inside and table[t][t] == e and table[table[t][s]][t] == rotations[-1]:
+            return rotations, t
+    return None
+
+
+class DihedralResolution(AbelianResolution):
+    """The periodic resolutions of C_2 = <t> and C_m = <s> tensored with a twist, for D_m.
+
+    The element tables, the homotopy H and the certificate are the abelian
+    route's for C_2 x C_m on the labels (b, a) of x = t^b s^a;
+    `_generators` twists t and `_homotopy` conjugates H by Phi (see the
+    module docstring).  For q = r mod 4, `_twists[r]` is (eps_q, t u_q) and
+    `_flips[r][x]` is Phi on x e_(b,q), as (sign, element).
+    """
+
+    __slots__ = ("_twists", "_flips")
+
+    def __init__(self, group: FiniteGroup):
+        found = dihedral_basis(group)
+        if found is None:
+            raise ValueError("not a dihedral group of order 6 or more")
+        (rotations, t), m, table = found, group.order // 2, group.table
+        coords = [None] * group.order
+        for a, x in enumerate(rotations):
+            coords[x], coords[table[t][x]] = (0, a), (1, a)
+        self._twists = [(eps, table[t][rotations[-k % m]]) for eps, k in _TWIST]
+        self._flips = []
+        for eps, tu in self._twists:
+            flip = [None] * group.order
+            for x in rotations:
+                flip[x], flip[table[t][x]] = (1, x), (eps, table[x][tu])  # t s^-a u = s^a t u
+            self._flips.append(flip)
+        super().__init__(group, ([2, m], coords))
+
+    def _generators(self, p: int) -> list:
+        """The abelian route's boundaries of e_(b,p-b), with t twisted to eps_q t u_q for q = p - b."""
+        t = self._powers[0][1]
+        out = super()._generators(p)
+        for b, bd in enumerate(out[1:], 1):
+            eps, tu = self._twists[(p - b) % 4]
+            bd[(b - 1, tu)] = eps * bd.pop((b - 1, t))
+        return out
+
+    def _flip(self, p: int) -> list:
+        """Phi on the Z-basis of F_p, as (sign, image) for each basis element."""
+        n = self.group.order
+        return [(sign, b * n + y) for b in range(p + 1) for sign, y in self._flips[(p - b) % 4]]
+
+    def _homotopy(self, p: int) -> SparseCols:
+        """Phi H Phi on the Z-bases, H the abelian route's homotopy; h_(-1) = eta is fixed by Phi."""
+        h = super()._homotopy(p)
+        if p < 0:
+            return h
+        at, above = self._flip(p), self._flip(p + 1)
+        out = SparseCols(h.rows, 0)
+        out.cols = h.cols
+        out.entries = [{above[r][1]: sign * above[r][0] * v for r, v in h.entries[c].items()} for sign, c in at]
+        return out
+
+
 def small_resolution(group: FiniteGroup) -> AbelianResolution | SmallResolution:
     """The group's default resolution, kept on the group and extended as degrees are asked.
 
@@ -331,7 +438,10 @@ def small_resolution(group: FiniteGroup) -> AbelianResolution | SmallResolution:
     counting, as soon as the group is dropped.
     """
     if group._resolution is None:
-        route = AbelianResolution if group.order > 1 and group.is_abelian() else SmallResolution
+        if group.order > 1 and group.is_abelian():
+            route = AbelianResolution
+        else:
+            route = SmallResolution if dihedral_basis(group) is None else DihedralResolution
         twin = object.__new__(FiniteGroup)
         for slot in FiniteGroup.__slots__:
             setattr(twin, slot, getattr(group, slot))

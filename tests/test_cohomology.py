@@ -42,7 +42,13 @@ from upic.modules import (
     zero_module,
 )
 from upic.reference import relation_route
-from upic.resolutions import RESOLUTION_BUILD_LIMIT, AbelianResolution, SmallResolution, small_resolution
+from upic.resolutions import (
+    RESOLUTION_BUILD_LIMIT,
+    AbelianResolution,
+    DihedralResolution,
+    SmallResolution,
+    small_resolution,
+)
 
 T = FiniteGroup.trivial()
 C2 = FiniteGroup.cyclic(2)
@@ -760,7 +766,7 @@ class TestResolutions:
         """The ranks of F_0..F_4 and H^1..H^3(Z) on the greedy route: a changed generator choice shows here."""
         g = FiniteGroup.symmetric(4) if name == "S4" else AGREEMENT_GROUPS[name]
         res = SmallResolution(g)
-        assert isinstance(small_resolution(g), SmallResolution)
+        assert isinstance(small_resolution(g), DihedralResolution if name in ("S3", "D4") else SmallResolution)
         assert [res.rank(p) for p in range(5)] == ranks
         z = one_term(trivial_module(g), 0)
         assert [HyperTotal(g, z, d, resolution=res).cohomology().render() for d in (1, 2, 3)] == values
@@ -1037,6 +1043,155 @@ class TestAbelianResolution:
         elapsed = time.perf_counter() - start
         assert value.free_rank == 0 and value.torsion and all(g.order % t == 0 for t in value.torsion)
         assert elapsed < 2.0, f"H^{DEGREE_LIMIT} of {chain} took {elapsed:.2f}s"
+
+
+def _metacyclic(m, r, square=0, rng=None):
+    """<s, t | s^m = 1, t s t^-1 = s^r, t^2 = s^square>, element s^a t^b at index b*m + a; D_m for r = -1.
+
+    With `rng`, the table is relabelled by a seeded permutation.
+    """
+
+    def mul(x, y):
+        (b, a), (d, c) = divmod(x, m), divmod(y, m)
+        a = a + c * r**b + (square if b + d == 2 else 0)
+        return (b + d) % 2 * m + a % m
+
+    n = 2 * m
+    perm = list(range(n))
+    if rng is not None:
+        rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[mul(x, y)]
+    return FiniteGroup(table)
+
+
+# the tamper tests' dihedral groups: S3 = D3 and D4 as the tests build them, and D5
+DIHEDRAL_GROUPS = {"S3": AGREEMENT_GROUPS["S3"], "D4": AGREEMENT_GROUPS["D4"], "D5": _metacyclic(5, -1)}
+
+
+class TestDihedralResolution:
+    def test_detects_and_certifies_every_dihedral_group(self, rng):
+        # seeded relabellings of D3 .. D24 (orders 6 to 48), each to F_5 with
+        # both certificates at every level
+        for m in range(3, 25):
+            g = _metacyclic(m, -1, rng=rng)
+            res = small_resolution(g)
+            assert isinstance(res, DihedralResolution), m
+            assert res.orders == [2, m]
+            assert [len(res.boundary(p)) for p in range(1, 6)] == [res.rank(p) for p in range(1, 6)] == [2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize(
+        "name, group",
+        [
+            ("A4", AGREEMENT_GROUPS["A4"]),
+            ("Q8", AGREEMENT_GROUPS["Q8"]),
+            ("S4", FiniteGroup.symmetric(4)),
+            ("Dic12", _metacyclic(6, -1, square=3)),
+            ("SD16", _metacyclic(8, 3)),
+            ("M16", _metacyclic(8, 5)),
+        ],
+    )
+    def test_other_nonabelian_groups_stay_greedy(self, name, group):
+        # SD16 and M16 have an element of order |G|/2 and involutions outside
+        # it, but none that inverts it
+        assert resolutions.dihedral_basis(group) is None
+        assert isinstance(small_resolution(group), SmallResolution)
+        with pytest.raises(ValueError, match="not a dihedral group"):
+            DihedralResolution(group)
+
+    @pytest.mark.parametrize("name", [*DIHEDRAL_GROUPS, "D6"])
+    def test_agrees_with_greedy(self, name):
+        # test_bar_and_small_agree puts S3 and D4 against the bar route
+        g = DIHEDRAL_GROUPS.get(name) or _metacyclic(6, -1)
+        assert isinstance(small_resolution(g), DihedralResolution)
+        greedy = SmallResolution(g)
+        for label, m in _coefficients(g).items():
+            for degree in range(4):
+                want = HyperTotal(g, one_term(m, 0), degree, resolution=greedy).cohomology()
+                assert group_cohomology(g, m, degree) == want, (label, degree)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("kind, message", [("doubled", None), ("stray term", "do not compose to zero")])
+    def test_changed_boundary_coefficient(self, monkeypatch, level, kind, message):
+        # one coefficient of the last generator's boundary doubled, or the
+        # first generator below added to it, which breaks d d = 0
+        real = DihedralResolution._generators
+
+        def tampered(self, p):
+            gens = real(self, p)
+            if p == level:
+                last = gens[-1]
+                if kind == "doubled":
+                    key = next(iter(last))
+                    last[key] *= 2
+                else:
+                    key = (0, self.group.identity)
+                    last[key] = last.get(key, 0) + 1
+            return gens
+
+        monkeypatch.setattr(DihedralResolution, "_generators", tampered)
+        for g in DIHEDRAL_GROUPS.values():
+            with pytest.raises(ExactnessViolation, match=message):
+                DihedralResolution(g).boundary(3)
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1, 2])
+    def test_dropped_homotopy_entry(self, monkeypatch, degree):
+        real = DihedralResolution._homotopy
+
+        def tampered(self, p):
+            h = real(self, p)
+            if p == degree:
+                col = next(col for col in reversed(h.entries) if col)
+                del col[next(iter(col))]
+            return h
+
+        monkeypatch.setattr(DihedralResolution, "_homotopy", tampered)
+        for g in DIHEDRAL_GROUPS.values():
+            with pytest.raises(ExactnessViolation, match=f"contracting homotopy fails on F_{max(degree, 0)}"):
+                DihedralResolution(g).boundary(3)
+
+    @pytest.mark.parametrize("residue", range(4))
+    def test_flipped_twist_sign(self, monkeypatch, residue):
+        # eps_q negated for q = residue mod 4, in the boundaries and in Phi alike
+        twist = list(resolutions._TWIST)
+        eps, k = twist[residue]
+        twist[residue] = (-eps, k)
+        monkeypatch.setattr(resolutions, "_TWIST", tuple(twist))
+        for g in DIHEDRAL_GROUPS.values():
+            with pytest.raises(ExactnessViolation):
+                DihedralResolution(g).boundary(5)
+
+    def test_untwisted_homotopy_fails(self, monkeypatch):
+        # H itself, not Phi H Phi: the twist of the boundaries alone is not contracted
+        monkeypatch.setattr(DihedralResolution, "_homotopy", AbelianResolution._homotopy)
+        for g in DIHEDRAL_GROUPS.values():
+            with pytest.raises(ExactnessViolation, match="contracting homotopy fails"):
+                DihedralResolution(g).boundary(3)
+
+
+def _reference_z_boundary(group, gens, rows):
+    """z_boundary as first written: every column allocated empty, then filled one generator term at a time."""
+    n = group.order
+    out = resolutions.SparseCols(rows, len(gens) * n)
+    for i, bd in enumerate(gens):
+        for h in range(n):
+            out.entries[i * n + h] = {j * n + group.table[h][g]: c for (j, g), c in bd.items()}
+    return out
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4", "Q8", "C6", "C2xC4", "K4"])
+def test_z_boundary_matches_reference(name):
+    # d_at of each level to F_3 as the resolution keeps it, on the group's
+    # own route and on the greedy one
+    g = AGREEMENT_GROUPS[name]
+    for route in dict.fromkeys((type(small_resolution(g)), SmallResolution)):
+        res = route(g)
+        for p in range(1, 4):
+            gens = res.boundary(p)
+            want = _reference_z_boundary(g, gens, res.rank(p - 1) * g.order)
+            assert (res._d_top.rows, res._d_top.cols, res._d_top.entries) == (want.rows, want.cols, want.entries)
 
 
 class TestFreeRoute:

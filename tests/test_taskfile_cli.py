@@ -447,7 +447,7 @@ class TestCLI:
         assert code == 4
         assert "cyclic oracle disagrees: oracle Z/4 vs computed Z\n" in err
 
-    @pytest.mark.parametrize("name", ["biquadratic_norm_one", "quadratic_sign_stabilizer"])
+    @pytest.mark.parametrize("name", ["biquadratic_norm_one", "quadratic_sign_stabilizer", "norm_one_d4"])
     def test_hypercohomology_op_matches_pic_and_brauer_a(self, capsys, tmp_path, name):
         doc = fixture_doc(name)
         doc["tasks"] += [{"op": "hypercohomology", "data": "D", "degree": d} for d in (1, 2)]
@@ -610,6 +610,21 @@ class TestFixtures:
 
     def test_expectations_cover_all(self):
         assert set(FIXTURES) == set(FIXTURE_EXPECTATIONS)
+
+    def test_norm_one_d4_frozen_after_greedy_and_bar_agree(self):
+        # the first fixture over a non-abelian group: its frozen values are
+        # what the greedy and bar routes give, and the default route is dihedral
+        from upic.cohomology import BarResolution, HyperTotal
+        from upic.homspace import upic_complex
+        from upic.resolutions import DihedralResolution, SmallResolution, small_resolution
+
+        built = parse_task_text(fixture_text("norm_one_d4")).build()
+        g, k = built.group, upic_complex(built.homspace["D"])
+        assert g.order == 8 and isinstance(small_resolution(g), DihedralResolution)
+        want = [FIXTURE_EXPECTATIONS["norm_one_d4"][label] for label in ("pic(D)", "brauer_a(D)")]
+        for route in (SmallResolution(g), BarResolution(g)):
+            assert [HyperTotal(g, k, d, resolution=route).cohomology().render() for d in (1, 2)] == want
+        assert [r["result"] for r in run_tasks(built, oracle=False)] == want
 
     def test_all_fixtures_parse_and_validate(self):
         for name in FIXTURES:
