@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from importlib import resources
 
 from . import __version__
 from ._backend import backend_name
@@ -230,6 +229,9 @@ FIXTURE_EXPECTATIONS = {
 
 
 def fixture_text(name: str) -> str:
+    # imported here, the one reader of package data: `upic run` then starts without it
+    from importlib import resources
+
     return resources.files("upic").joinpath("fixtures", f"{name}.task").read_text(encoding="utf-8")
 
 

@@ -129,14 +129,18 @@ def _dual_hom_map(data: HomSpaceData):
     """Matrix of Hom(stabilizer characters, Z) -> Hom(acting lattice, Z), and the Smith diagonal it is read from.
 
     Hom(xh, Z) is spanned by the rows of u at the zero entries of the Smith
-    form u * relations * v == d of the stabilizer characters.
+    form u * relations * v == d of the stabilizer characters.  The acting
+    lattice is read on a basis: its generators when it has no relation
+    columns, which need no `lattice_form`, and otherwise the basis
+    `lattice_form` maps in.
     """
     s = smith_normal_form(data.xh.relations)
     diag = s.diagonal()
     rows = [row for row, d in zip(s.u.data, diag) if d == 0]
-    functionals = IntMatrix(len(rows), data.xh.gens, rows)
-    _, _, from_g = lattice_form(data.xg)
-    return functionals.mul(data.res.matrix).mul(from_g.matrix).transpose(), diag
+    hom = IntMatrix(len(rows), data.xh.gens, rows).mul(data.res.matrix)
+    if data.xg.relations.cols:
+        hom = hom.mul(lattice_form(data.xg)[2].matrix)
+    return hom.transpose(), diag
 
 
 def _complex_cohomology(data: HomSpaceData, rank_g: int, rank_h: int):

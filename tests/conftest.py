@@ -170,12 +170,21 @@ def random_module(group: FiniteGroup, rng: random.Random, max_rank: int = 3, all
 def random_lattice_with_relations(group: FiniteGroup, rng: random.Random, max_extra: int = 2) -> PresentedModule:
     """A torsion-free module whose presentation has relations.
 
-    The regular or norm-one lattice L of the group, plus generators e_k
-    each killed by a unit relation e_k - v_k for a random v_k in L; each
-    element acts on e_k as on v_k.  The whole presentation is put in a
-    random basis.
+    The regular or norm-one lattice of the group, presented with relation
+    columns by `with_relation_columns`.
     """
     base = rng.choice([regular_module, norm_one_lattice_of])(group)
+    return with_relation_columns(base, rng, max_extra)[0]
+
+
+def with_relation_columns(base: PresentedModule, rng: random.Random, max_extra: int = 2):
+    """The lattice `base`, given on a basis, presented with relation columns: (module, projection).
+
+    Generators e_k are added, each killed by a unit relation e_k - v_k for
+    a random v_k in `base`; each element acts on e_k as on v_k.  The whole
+    presentation is put in a random basis.  `projection` is the matrix of
+    the isomorphism from the module onto `base`, sending e_k to v_k.
+    """
     n, extra = base.gens, rng.randint(1, max_extra)
     vs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(extra)]
     gens = n + extra
@@ -183,12 +192,14 @@ def random_lattice_with_relations(group: FiniteGroup, rng: random.Random, max_ex
         gens, [[-x for x in v] + [1 if j == k else 0 for j in range(extra)] for k, v in enumerate(vs)]
     )
     action = []
-    for g in range(group.order):
+    for g in range(base.group.order):
         a = base.action_of(g)
         cols = [c + [0] * extra for c in a.columns()] + [a.apply(v) + [0] * extra for v in vs]
         action.append(IntMatrix.from_columns(gens, cols))
     q, qinv = random_unimodular_pair(gens, rng)
-    return PresentedModule(group, gens, q.mul(relations), [q.mul(x).mul(qinv) for x in action])
+    module = PresentedModule(base.group, gens, q.mul(relations), [q.mul(x).mul(qinv) for x in action])
+    projection = IntMatrix.identity(n).hstack(IntMatrix.from_columns(n, vs)).mul(qinv)
+    return module, projection
 
 
 def random_equivariant_map(source: PresentedModule, target: PresentedModule, rng: random.Random) -> ModuleMap:

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from upic.groups import FiniteGroup
 from upic.homspace import (
     BRAUER_CAVEAT,
     PIC_CAVEAT,
+    DualReport,
     HomSpaceData,
     TorusComparisonData,
     _dual_hom_map,
@@ -358,6 +360,69 @@ class TestDualPipeline:
         real = homspace.smith_diagonal
         monkeypatch.setattr(homspace, "smith_diagonal", lambda a: real(a) + [0])
         with pytest.raises(ExactnessViolation):
+            upic_dual(data)
+
+    def test_relation_columns_give_the_dual_of_the_lattice_on_a_basis(self):
+        """X(G) presented with relation columns (torsion free, the action preserving them) gives the
+        report of the same lattice on a basis, which `_dual_hom_map` reads on its own generators."""
+        from conftest import random_equivariant_map, random_module, with_relation_columns
+
+        fields = DualReport.__slots__
+        rng = random.Random(3030)
+        groups = [FiniteGroup.cyclic(n) for n in range(1, 7)] + [FiniteGroup.klein_four(), FiniteGroup.symmetric(3)]
+        reports = []
+        for trial in range(48):
+            group = groups[trial % len(groups)]
+            base = random_module(group, rng, allow_torsion=False)
+            xh = zero_module(group) if trial % 3 == 0 else random_module(group, rng, max_rank=3)
+            res = random_equivariant_map(base, xh, rng)
+            presented, projection = with_relation_columns(base, rng)
+            assert base.relations.cols == 0 and presented.relations.cols > 0
+            on_basis = upic_dual(HomSpaceData(group, base, xh, res))
+            res_presented = ModuleMap(presented, xh, res.matrix.mul(projection))
+            with_relations = upic_dual(HomSpaceData(group, presented, xh, res_presented))
+            assert [getattr(with_relations, f) for f in fields] == [getattr(on_basis, f) for f in fields]
+            reports.append(on_basis)
+        assert any(rep.h0.torsion for rep in reports) and any(rep.hminus1.free_rank for rep in reports)
+        assert any(rep.h0.free_rank for rep in reports) and any(rep.stabilizer_torsion.torsion for rep in reports)
+
+    @pytest.mark.parametrize(
+        "name, tamper, message",
+        [
+            ("kernel_basis", lambda real, a: real(a).hstack(IntMatrix.zeros(a.cols, 1)), "ranks are inconsistent"),
+            (
+                "cokernel_invariants",
+                lambda real, a: AbelianInvariants(real(a).free_rank, [7 * max(real(a).torsion, default=1)]),
+                "cokernel torsion does not divide the torsion of H^0",
+            ),
+            (
+                "cokernel_invariants",
+                lambda real, a: AbelianInvariants(real(a).free_rank + 1, real(a).torsion),
+                "ranks are inconsistent",
+            ),
+        ],
+        ids=["kernel-rank", "cokernel-torsion", "cokernel-rank"],
+    )
+    @pytest.mark.parametrize("case", ["J_C4", "sln_normalizer", "J_C8-torsion"])
+    def test_tampered_five_term_route_is_caught(self, monkeypatch, name, tamper, message, case):
+        """With Hom(X(H), Z) = 0 the dual map has no columns, and its kernel and cokernel are read off
+        the shape alone; the five-term check still reads them.  A kernel one column too large, cokernel
+        torsion of an order 7 that H^0 lacks, or a cokernel with a free Z too many is caught, each with
+        its own message (a wrong rank also fails the comparison with H^-1 or rank H^0)."""
+        import upic.homspace as homspace
+
+        c4, c8 = FiniteGroup.cyclic(4), FiniteGroup.cyclic(8)
+        torsion = PresentedModule(c8, 2, IntMatrix.diagonal(2, 2, [2, 4]), [IntMatrix.identity(2)] * 8)
+        data = {
+            "J_C4": lambda: make_data(c4, norm_one_lattice_of(c4), zero_module(c4)),
+            "sln_normalizer": sln_normalizer_data,
+            "J_C8-torsion": lambda: make_data(c8, norm_one_lattice_of(c8), torsion),
+        }[case]()
+        assert _dual_hom_map(data)[0].cols == 0
+        upic_dual(data)
+        real = getattr(homspace, name)
+        monkeypatch.setattr(homspace, name, lambda a: tamper(real, a))
+        with pytest.raises(ExactnessViolation, match=re.escape(message)):
             upic_dual(data)
 
     def test_universal_coefficients_match_the_dual_of_the_resolution(self):

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,28 @@ def test_smith_empty_shapes(rows, cols):
     s = smith_normal_form(a)
     assert s.d.rows == rows and s.d.cols == cols
     check_smith_laws(a)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes_are_read_without_the_kernels(monkeypatch, rows, cols):
+    """smith_diagonal, cokernel_invariants and kernel_basis answer a matrix with no rows or no columns
+    as the kernels do, with no kernel call and no Hermite form cached."""
+    import upic.intmatrix as intmatrix
+
+    a = IntMatrix.zeros(rows, cols)
+    d, _, _ = _kernels_py.snf(a.data, rows, cols, False)
+    diag = [d[i][i] if i < cols else 0 for i in range(rows)]
+    _, v, pivots = _kernels_py.hnf_cols(a.data, rows, cols)
+    kernel = IntMatrix(cols, cols - len(pivots), [row[len(pivots) :] for row in v])
+
+    def refuse(*args):
+        raise AssertionError("an empty shape reached the kernels")
+
+    monkeypatch.setattr(intmatrix, "kernels", SimpleNamespace(snf=refuse, hnf_cols=refuse))
+    assert smith_diagonal(a) == diag == [0] * rows
+    assert cokernel_invariants(a) == AbelianInvariants(diag.count(0))
+    assert kernel_basis(a) == kernel == IntMatrix.identity(cols)
+    assert a._hnf_cache is None
 
 
 def test_smith_random_suite():
@@ -416,6 +439,40 @@ def test_free_cohomology_matches_the_subquotient_route(n, a, b, structured, seed
     want = subquotient_route(d_out, d_in)
     assert free_cohomology(d_out, d_in) == want
     assert free_cohomology(SparseCols.from_dense(d_out), SparseCols.from_dense(d_in)) == want
+
+
+def test_free_cohomology_reads_d_out_without_the_columns_at_d_in_pivot_rows():
+    """Seeded complexes whose d_in has unit pivots and a remainder with no unit entry, and whose d_out
+    is nonzero at d_in's pivot rows, where free_cohomology drops its columns: the subquotient route
+    agrees."""
+    from conftest import random_unimodular_pair
+
+    from upic.intmatrix import _eliminate_unit_pivots, _sparse_columns
+
+    rng = random.Random(30)
+    mixed = 0
+    for _ in range(100):
+        k, r, a, b = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 5)
+        n = k + r + rng.randint(1, 3)
+        # [I_k *; 0 D; 0 0] with D free of units, rows mixed by a unimodular u, columns permuted
+        block = [[int(i == j) for j in range(k)] for i in range(n)]
+        rest = [[rng.choice([-1, 0, 2]) for _ in range(r + a)] for _ in range(k)]
+        rest += [[rng.choice([0, 2, -3, 6]) for _ in range(r + a)] for _ in range(r)] + [[0] * (r + a)] * (n - k - r)
+        u, _ = random_unimodular_pair(n, rng)
+        cols = [list(c) for c in zip(*[x + y for x, y in zip(block, rest)])]
+        rng.shuffle(cols)
+        d_in = u.mul(IntMatrix.from_columns(n, cols))
+        left = kernel_basis(d_in.transpose())
+        mix = IntMatrix(b, left.cols, [[rng.randint(-3, 3) for _ in range(left.cols)] for _ in range(b)])
+        d_out = mix.mul(left.transpose())
+        assert d_out.mul(d_in).is_zero()
+        pivot_rows, _, remainder = _eliminate_unit_pivots([c for c in _sparse_columns(d_in) if c])
+        if pivot_rows and remainder and any(d_out.column(j) != [0] * b for j in pivot_rows):
+            mixed += 1
+        want = subquotient_route(d_out, d_in)
+        assert free_cohomology(d_out, d_in) == want
+        assert free_cohomology(SparseCols.from_dense(d_out), SparseCols.from_dense(d_in)) == want
+    assert mixed >= 30
 
 
 def _c2_power_differentials(k: int, degree: int):

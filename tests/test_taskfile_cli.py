@@ -497,6 +497,27 @@ class TestCLI:
         assert "MISMATCH" not in out
         assert "biquadratic_norm_one: brauer_a(D) = Z/2 [ok]" in out
 
+    def test_cli_import_leaves_importlib_resources_unloaded(self):
+        """Under -S (no site-packages, whose start-up hooks may import it) `import upic.cli` does not
+        load importlib.resources; `fixture_text`, its one reader, loads it and reads a fixture."""
+        import subprocess
+        import sys
+
+        import upic
+
+        paths = [os.path.dirname(os.path.dirname(upic.__file__)), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        probe = (
+            "import sys, upic.cli; before = 'importlib.resources' in sys.modules; "
+            "text = upic.cli.fixture_text('norm_one_3'); "
+            "print(before, 'importlib.resources' in sys.modules, text == open(sys.argv[1], encoding='utf-8').read())"
+        )
+        fixture = os.path.join(os.path.dirname(upic.__file__), "fixtures", "norm_one_3.task")
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe, fixture], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == ["False", "True", "True"]
+
     def test_fixtures_run_all_reports_a_mismatch(self, capsys, monkeypatch):
         monkeypatch.setitem(FIXTURE_EXPECTATIONS, "norm_one_3", {"pic(D)": "Z/9", "brauer_a(D)": "0"})
         code, out, err = self.run_cli(capsys, "fixtures", "--run-all")
