@@ -128,16 +128,33 @@ class DualReport:
 def _dual_hom_map(data: HomSpaceData):
     """Matrix of Hom(stabilizer characters, Z) -> Hom(acting lattice, Z), and the Smith diagonal it is read from.
 
-    Hom(xh, Z) is spanned by the rows of u at the zero entries of the Smith
-    form u * relations * v == d of the stabilizer characters.  The acting
-    lattice is read on a basis: its generators when it has no relation
-    columns, which need no `lattice_form`, and otherwise the basis
+    Hom(xh, Z) is read in one of three ways, the transforms of a Smith form
+    only where they are needed:
+
+    - xh has no relation columns: Hom(xh, Z) is the dual of its own
+      generators, so the map is `res` itself and the diagonal is all zeros.
+    - xh is finite: its Smith diagonal (no transforms) has no zero entry.
+      Every homomorphism to Z sends a generator of order d to an element
+      of order dividing d, which in Z is 0, so Hom(xh, Z) = 0 and the map
+      has no rows.  A matrix with fewer columns than rows always has a zero
+      entry, so only a square or wide one is read this way first.
+    - otherwise (relations and a free part): Hom(xh, Z) is spanned by the
+      rows of u at the zero entries of the Smith form u * relations * v == d.
+
+    The acting lattice is read on a basis: its generators when it has no
+    relation columns, which need no `lattice_form`, and otherwise the basis
     `lattice_form` maps in.
     """
-    s = smith_normal_form(data.xh.relations)
-    diag = s.diagonal()
-    rows = [row for row, d in zip(s.u.data, diag) if d == 0]
-    hom = IntMatrix(len(rows), data.xh.gens, rows).mul(data.res.matrix)
+    relations = data.xh.relations
+    if not relations.cols:
+        hom, diag = data.res.matrix, [0] * relations.rows
+    elif relations.cols >= relations.rows and 0 not in (diag := smith_diagonal(relations)):
+        hom = IntMatrix.zeros(0, data.xg.gens)
+    else:
+        s = smith_normal_form(relations)
+        diag = s.diagonal()
+        rows = [row for row, d in zip(s.u.data, diag) if d == 0]
+        hom = IntMatrix(len(rows), data.xh.gens, rows).mul(data.res.matrix)
     if data.xg.relations.cols:
         hom = hom.mul(lattice_form(data.xg)[2].matrix)
     return hom.transpose(), diag
@@ -168,6 +185,11 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     Secondary route: the five-term dual sequence, which pins H^-1 exactly
     and constrains the rank and torsion order of H^0 (on a lattice complex
     the stabilizer torsion is trivial, so it pins the torsion order too).
+    Its map Hom(X(H), Z) -> Hom(X(G), Z) comes from `_dual_hom_map`, which
+    takes a Smith form with transforms only when X(H) has both relations
+    and a free part: with no relations the map is `res` itself, and for a
+    finite X(H) Hom(X(H), Z) = 0 is read off the transform-free Smith
+    diagonal, which also gives the stabilizer torsion.
     A failed cross-check is an internal error (ExactnessViolation).
     """
     dmap, xh_diag = _dual_hom_map(data)
@@ -181,8 +203,6 @@ def upic_dual(data: HomSpaceData) -> DualReport:
     xh_tors = AbelianInvariants(0, [d for d in xh_diag if d > 1])
 
     problems = []
-    if hminus1.torsion:
-        problems.append(f"H^-1 = {hminus1.render()} has torsion")
     if hminus1 != kernel_inv:
         problems.append(f"H^-1 = {hminus1.render()} differs from the kernel {kernel_inv.render()}")
     if h0.free_rank != coker_inv.free_rank:

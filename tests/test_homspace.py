@@ -73,6 +73,29 @@ def sln_normalizer_data():
     return make_data(T, zero_module(T), finite_cyclic_module(T, 2))
 
 
+def mixed_stabilizer_cases():
+    """Z[C2] -> Z + Z/2 (trivial action), e |-> (1, 1): an X(H) with relations and a free part.
+
+    Z/2 sits on the second generator, presented by a tall relation matrix and by a square one.
+    """
+    return [
+        make_data(
+            C2,
+            regular_module(C2),
+            PresentedModule(C2, 2, relations, [IntMatrix.identity(2)] * 2),
+            IntMatrix(2, 2, [[1, 1], [1, 1]]),
+        )
+        for relations in (IntMatrix(2, 1, [[0], [2]]), IntMatrix(2, 2, [[0, 0], [2, 0]]))
+    ]
+
+
+def stabilizer_kind(data):
+    """How `_dual_hom_map` reads Hom(X(H), Z): no relation columns, finite, or relations with a free part."""
+    if not data.xh.relations.cols:
+        return "no relations"
+    return "mixed" if data.xh.underlying_invariants().free_rank else "finite"
+
+
 class TestUPicComplex:
     def test_degrees(self):
         c = upic_complex(sln_normalizer_data())
@@ -273,7 +296,9 @@ class TestDualPipeline:
             xg = random_lattice_with_relations(group, rng) if trial % 2 else random_module(group, rng, allow_torsion=False)
             xh = random_module(group, rng, max_rank=3)
             cases.append(HomSpaceData(group, xg, xh, random_equivariant_map(xg, xh, rng)))
+        cases += mixed_stabilizer_cases()
         assert fixture_cases >= 9
+        assert {stabilizer_kind(data) for data in cases} == {"no relations", "finite", "mixed"}
         for data in cases:
             assert _dual_hom_map(data)[0] == _dual_hom_map_reference(data)
 
@@ -350,7 +375,9 @@ class TestDualPipeline:
     def test_wrong_free_cohomology_is_caught_by_the_dual_sequence(self, monkeypatch, name):
         """A Smith diagonal for H^1(C) with one zero entry too many (one more free Z in H^1, and by
         the Euler characteristic in H^0) breaks the five-term check: on J_C4 -> 0, whose H^1 is 0,
-        and on [0 -> Z/2] and [0 -> Z/4], where Z/n's relation sits next to the restriction map."""
+        and on [0 -> Z/2] and [0 -> Z/4], where Z/n's relation sits next to the restriction map.
+        Only the diagonal of [res | R_H] is tampered with; the stabilizer's own diagonal is left
+        alone, so `_dual_hom_map` still reads a finite X(H) without transforms."""
         import upic.homspace as homspace
         from upic.cli import fixture_text
         from upic.taskfile import parse_task_text
@@ -358,8 +385,63 @@ class TestDualPipeline:
         data = parse_task_text(fixture_text(name)).build().homspace["D"]
         assert upic_dual(data).hminus1.is_trivial
         real = homspace.smith_diagonal
-        monkeypatch.setattr(homspace, "smith_diagonal", lambda a: real(a) + [0])
+        stabilizer = data.xh.relations
+        monkeypatch.setattr(homspace, "smith_diagonal", lambda a: real(a) if a is stabilizer else real(a) + [0])
         with pytest.raises(ExactnessViolation):
+            upic_dual(data)
+
+    def test_smith_transforms_only_for_relations_with_a_free_part(self, monkeypatch):
+        """`upic_dual` takes a Smith form with transforms only for an X(H) with relation columns and a
+        free part: X(H) = 0, Z/2, Z/4 and Z/2 + Z/4 need none.  Z + Z/2, presented with a tall and with
+        a square relation matrix, reaches it, and its report equals the dual of a resolution."""
+        import upic.homspace as homspace
+        from upic.cli import fixture_text
+        from upic.reference import dual_complex, resolve_torsion_free
+        from upic.taskfile import parse_task_text
+
+        def refuse(a):
+            raise AssertionError("smith_normal_form called")
+
+        c4, c8 = FiniteGroup.cyclic(4), FiniteGroup.cyclic(8)
+        torsion = PresentedModule(c8, 2, IntMatrix.diagonal(2, 2, [2, 4]), [IntMatrix.identity(2)] * 8)
+        transform_free = [
+            make_data(c4, norm_one_lattice_of(c4), zero_module(c4)),
+            sln_normalizer_data(),
+            parse_task_text(fixture_text("quadratic_sign_stabilizer")).build().homspace["D"],
+            make_data(c8, norm_one_lattice_of(c8), torsion),
+        ]
+        mixed = mixed_stabilizer_cases()
+        assert [stabilizer_kind(data) for data in transform_free] == ["no relations", "finite", "finite", "finite"]
+        monkeypatch.setattr(homspace, "smith_normal_form", refuse)
+        for data in transform_free:
+            upic_dual(data)
+        for data in mixed:
+            with pytest.raises(AssertionError, match="smith_normal_form called"):
+                upic_dual(data)
+        monkeypatch.undo()
+        for data in mixed:
+            rep = upic_dual(data)
+            dual = dual_complex(resolve_torsion_free(upic_complex(data)).source)
+            assert (rep.h0, rep.hminus1) == (cohomology_invariants(dual, 0), cohomology_invariants(dual, -1))
+            assert rep.h0 == AbelianInvariants(1, [2]) and rep.stabilizer_torsion == AbelianInvariants(0, [2])
+
+    @pytest.mark.parametrize("name", ["sln_normalizer", "quadratic_sign_stabilizer"])
+    def test_dropped_stabilizer_torsion_is_caught(self, monkeypatch, name):
+        """A finite X(H)'s Smith diagonal gives both Hom(X(H), Z) = 0 and the stabilizer torsion of the
+        five-term bound; with its torsion dropped, the torsion of H^0 exceeds that bound."""
+        import upic.homspace as homspace
+        from upic.cli import fixture_text
+        from upic.taskfile import parse_task_text
+
+        data = parse_task_text(fixture_text(name)).build().homspace["D"]
+        assert upic_dual(data).h0.torsion
+        real = homspace.smith_diagonal
+        monkeypatch.setattr(
+            homspace,
+            "smith_diagonal",
+            lambda a: [1 if d > 1 else d for d in real(a)] if a is data.xh.relations else real(a),
+        )
+        with pytest.raises(ExactnessViolation, match="torsion of H\\^0 exceeds the bound"):
             upic_dual(data)
 
     def test_relation_columns_give_the_dual_of_the_lattice_on_a_basis(self):

@@ -190,6 +190,38 @@ class TestCLI:
         assert all(r["tool"].startswith("upic ") for r in records)
         assert all("seconds" in r for r in records)
 
+    def test_upic_dual_with_a_mixed_stabilizer(self, capsys, tmp_path, monkeypatch):
+        """Z[C2] -> Z + Z/2: the one route of `upic_dual` that takes a Smith form with transforms (X(H)
+        with relations and a free part), which no fixture reaches.  The record equals the report."""
+        import upic.homspace as homspace
+        from upic.homspace import upic_dual
+
+        doc = fixture_doc("quadratic_sign_stabilizer")
+        doc["modules"] = {
+            "XG": {"gens": 2, "relations": [], "action": [[[0, 1], [1, 0]]]},
+            "XH": {"gens": 2, "relations": [[0], [2]], "action": [[[1, 0], [0, 1]]]},
+        }
+        doc["maps"]["res"]["matrix"] = [[1, 1], [1, 1]]
+        doc["tasks"] = [{"data": "D", "op": "upic_dual"}]
+        text = json.dumps(doc)
+        p, out_path = tmp_path / "mixed.task", tmp_path / "records.json"
+        p.write_text(text, encoding="utf-8")
+        calls = []
+        real = homspace.smith_normal_form
+        monkeypatch.setattr(homspace, "smith_normal_form", lambda a: calls.append(a) or real(a))
+        code, _, _ = self.run_cli(capsys, "run", str(p), "--out", str(out_path))
+        assert code == 0 and len(calls) == 1
+        (record,) = json.loads(out_path.read_text())
+        rep = upic_dual(parse_task_text(text).build().homspace["D"])
+        assert record["result"] == rep.render() == "H0=Z x Z/2, H-1=0"
+        assert record["detail"] == {
+            "h0": rep.h0.render(),
+            "hminus1": rep.hminus1.render(),
+            "kernel": rep.kernel_invariants.render(),
+            "cokernel": rep.cokernel_invariants.render(),
+            "stabilizer_torsion": rep.stabilizer_torsion.render(),
+        }
+
     def test_deterministic_output(self, capsys, tmp_path):
         path = self.fixture_path(tmp_path, "norm_one_3")
         code1, out1, _ = self.run_cli(capsys, "run", path)
@@ -517,6 +549,20 @@ class TestCLI:
             [sys.executable, "-S", "-c", probe, fixture], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.split() == ["False", "True", "True"]
+
+    def test_sources_parse_as_python_3_10(self):
+        """The package and the tests use no syntax newer than the oldest supported Python, 3.10."""
+        import ast
+        import glob
+
+        import upic
+
+        package = os.path.dirname(upic.__file__)
+        paths = glob.glob(os.path.join(package, "*.py")) + glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))
+        assert len(paths) >= 20
+        for path in paths:
+            with open(path, encoding="utf-8") as f:
+                ast.parse(f.read(), filename=path, feature_version=(3, 10))
 
     def test_fixtures_run_all_reports_a_mismatch(self, capsys, monkeypatch):
         monkeypatch.setitem(FIXTURE_EXPECTATIONS, "norm_one_3", {"pic(D)": "Z/9", "brauer_a(D)": "0"})
