@@ -22,7 +22,7 @@ from ._backend import backend_name
 from .cohomology import cyclic_oracle, finite_coeff_bruteforce, group_cohomology, hypercohomology
 from .complexes import one_term
 from .errors import BudgetExceeded, TaskError, TaskFileError, UpicError, ValidationError
-from .homspace import brauer_a, pic, topological_report, upic_complex, upic_dual, verify_torus_comparison
+from .homspace import DEGREE_OF, brauer_a, pic, topological_report, upic_complex, upic_dual, verify_torus_comparison
 from .taskfile import OPS, BuiltTasks, parse_task_file, parse_task_text
 
 TOOL = f"upic {__version__}"
@@ -64,20 +64,12 @@ def _oracle_check(group, complex_, degree, value):
     return f"{used} agreed"
 
 
-# pic and brauer_a are hypercohomology in a fixed degree; the raw ops take the task's
-_FIXED_DEGREE = {"pic": 1, "brauer_a": 2}
-
-
-def _degree(task: dict) -> int:
-    return _FIXED_DEGREE.get(task["op"], task.get("degree", 1))
-
-
 def _run_one(built: BuiltTasks, task: dict, oracle: bool) -> dict:
     op = task["op"]
     arg = built.input_of(task)
     record = {"task": task, "tool": TOOL}
     if op in ("pic", "brauer_a", "hypercohomology", "group_cohomology"):
-        degree = _degree(task)
+        degree = DEGREE_OF.get(op, task.get("degree", 1))
         if op == "group_cohomology":
             value = group_cohomology(built.group, arg, degree)
         elif op == "hypercohomology":
@@ -85,7 +77,7 @@ def _run_one(built: BuiltTasks, task: dict, oracle: bool) -> dict:
         else:
             rep = (pic if op == "pic" else brauer_a)(arg)
             value = rep.value
-            record.update(caveat=rep.caveat, assumes_pic_trivial=rep.assume_pic_trivial)
+            record["caveat"] = rep.caveat
         record["result"] = value.render()
         if oracle:
             coeffs = one_term(arg, 0) if op == "group_cohomology" else upic_complex(arg)
@@ -101,10 +93,7 @@ def _run_one(built: BuiltTasks, task: dict, oracle: bool) -> dict:
                 "cokernel": rep.cokernel_invariants.render(),
                 "stabilizer_torsion": rep.stabilizer_torsion.render(),
             },
-            assumes_pic_trivial=rep.assume_pic_trivial,
         )
-        if oracle:
-            record["oracle"] = "dual sequence bookkeeping verified internally"
     elif op == "topological_report":
         rep = topological_report(arg, task.get("stabilizer_connected", False), task.get("condition_h1", False))
         record.update(
@@ -127,6 +116,11 @@ def _run_one(built: BuiltTasks, task: dict, oracle: bool) -> dict:
                 "quasi_isomorphisms": rep.quasi_iso,
             },
         )
+    if op in ("pic", "brauer_a", "upic_dual", "topological_report"):  # each echoes the Pic(Gbar) = 0 hypothesis
+        record["assumes_pic_trivial"] = arg.assume_pic_trivial
+    if oracle and op in ("upic_dual", "topological_report"):
+        # both run upic_dual, whose five-term check always runs
+        record["oracle"] = "dual sequence bookkeeping verified internally"
     return record
 
 
@@ -134,7 +128,7 @@ def _describe(task: dict) -> str:
     op = task["op"]
     name = task[OPS[op][0]]
     if op in ("group_cohomology", "hypercohomology"):
-        return f"H^{_degree(task)}({name})"
+        return f"H^{task.get('degree', 1)}({name})"
     return f"{op}({name})"
 
 
@@ -161,52 +155,57 @@ def _print_records(records) -> None:
         print(line)
 
 
-def _cmd_run(args) -> int:
+# the stderr prefix of each failing exit code of `_execute`
+_FAILURE = {2: "parse error", 3: "validation error", 4: "task error"}
+
+
+def _execute(parse, source, oracle: bool):
+    """Parse, build and run one task file, for `upic run` and `upic fixtures --run-all` alike.
+
+    (0, records), or (exit code, error) at the first failure: 2 unreadable or unparsable, 3 invalid, 4 a task failed.
+    """
     try:
-        tf = parse_task_file(args.file)
-    except OSError as e:
-        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
-        return 2
+        built = parse(source).build()
     except TaskFileError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    try:
-        built = tf.build()
-    except TaskFileError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
+        return 2, e
     except ValidationError as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 3
+        return 3, e
     try:
-        records = run_tasks(built, args.oracle == "on")
+        return 0, run_tasks(built, oracle)
     except UpicError as e:
-        print(f"task error: {e}", file=sys.stderr)
-        return 4
+        return 4, e
+
+
+def _cmd_run(args) -> int:
+    code, result = _execute(parse_task_file, args.file, args.oracle == "on")
+    if code:
+        print(f"{_FAILURE[code]}: {result}", file=sys.stderr)
+        return code
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(records, fh, indent=2, sort_keys=True)
+                json.dump(result, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as e:
             print(f"task error: cannot write {args.out}: {e}", file=sys.stderr)
             return 4
-    _print_records(records)
+    _print_records(result)
     return 0
 
 
+# what each fixture is; the values `fixtures --run-all` compares are in FIXTURE_EXPECTATIONS
 FIXTURES = {
-    "norm_one_2": "cyclic degree-2 norm-one torus; pic = Z/2, brauer_a = 0",
-    "norm_one_3": "cyclic degree-3 norm-one torus; pic = Z/3, brauer_a = 0",
-    "norm_one_4": "cyclic degree-4 norm-one torus; pic = Z/4, brauer_a = 0",
-    "norm_one_5": "cyclic degree-5 norm-one torus; pic = Z/5, brauer_a = 0",
-    "norm_one_6": "cyclic degree-6 norm-one torus; pic = Z/6, brauer_a = 0",
-    "quasitrivial_c2": "quasi-trivial torus over a quadratic extension; pic = 0",
-    "sln_normalizer": "torus normalizer in SL_n over a closed field; pic = Z/2, dual (Z/2, 0)",
-    "sl2_pgl2_comparison": "central extension comparison diagram; verdict true, H^1 = Z/2 throughout",
-    "biquadratic_norm_one": "biquadratic norm-one torus; pic = Z/2 x Z/2, brauer_a = Z/2",
-    "quadratic_sign_stabilizer": "order-4 stabilizer characters inverted by a quadratic action; pic = Z/2, brauer_a = Z/2, dual (Z/4, 0)",
-    "norm_one_d4": "norm-one torus of a D4 extension (splitting field of x^4 - 2); pic = Z/2 x Z/2, brauer_a = Z/2",
+    "norm_one_2": "cyclic degree-2 norm-one torus",
+    "norm_one_3": "cyclic degree-3 norm-one torus",
+    "norm_one_4": "cyclic degree-4 norm-one torus",
+    "norm_one_5": "cyclic degree-5 norm-one torus",
+    "norm_one_6": "cyclic degree-6 norm-one torus",
+    "quasitrivial_c2": "quasi-trivial torus over a quadratic extension",
+    "sln_normalizer": "torus normalizer in SL_n over a closed field",
+    "sl2_pgl2_comparison": "central extension comparison diagram",
+    "biquadratic_norm_one": "biquadratic norm-one torus",
+    "quadratic_sign_stabilizer": "order-4 stabilizer characters inverted by a quadratic action",
+    "norm_one_d4": "norm-one torus of a D4 extension (splitting field of x^4 - 2)",
 }
 
 FIXTURE_EXPECTATIONS = {
@@ -238,20 +237,17 @@ def fixture_text(name: str) -> str:
 def _cmd_fixtures(args) -> int:
     if not args.run_all:
         for name, desc in FIXTURES.items():
-            print(f"{name}: {desc}")
+            values = "".join(f" | {label} = {want}" for label, want in FIXTURE_EXPECTATIONS[name].items())
+            print(f"{name}: {desc}{values}")
         return 0
     failures = []
     for name in FIXTURES:
-        tf = parse_task_text(fixture_text(name))
-        built = tf.build()
-        try:
-            records = run_tasks(built, args.oracle == "on")
-        except UpicError as e:
-            failures.append(f"{name}: {e}")
+        code, result = _execute(parse_task_text, fixture_text(name), args.oracle == "on")
+        if code:
+            failures.append(f"{name}: {result}")
             continue
-        expected = FIXTURE_EXPECTATIONS[name]
-        got = {_describe(r["task"]): r["result"] for r in records}
-        for label, want in expected.items():
+        got = {_describe(r["task"]): r["result"] for r in result}
+        for label, want in FIXTURE_EXPECTATIONS[name].items():
             actual = got.get(label)
             status = "ok" if actual == want else f"MISMATCH (expected {want})"
             print(f"{name}: {label} = {actual} [{status}]")

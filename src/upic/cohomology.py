@@ -49,6 +49,7 @@ from .intmatrix import (
     cycle_lattice,
     free_cohomology,
     smith_normal_form,
+    solve_columns,
     solve_integer,
     subquotient_invariants,
     unimodular_inverse,
@@ -228,10 +229,10 @@ class HyperTotal:
 
     def _restrict(self, q: int, iota: IntMatrix, iota_next: IntMatrix) -> IntMatrix:
         """f_R with iota_next f_R == f iota, for the differential f of the coefficients from degree q."""
-        cols = [solve_integer(iota_next, col) for col in self.coeffs.differential(q).matrix.mul(iota).columns()]
-        if None in cols:
+        f_r = solve_columns(iota_next, self.coeffs.differential(q).matrix.mul(iota))
+        if f_r is None:
             raise ExactnessViolation(f"the coefficients' differential from degree {q} does not keep the relations")
-        return IntMatrix.from_columns(iota_next.cols, cols)
+        return f_r
 
     def _layout(self, n: int, relations: bool):
         """The offset of each nonzero summand of Tot^n, keyed (degree, kind, p), and the rank of Tot^n."""

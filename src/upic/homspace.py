@@ -36,6 +36,8 @@ from .modules import ModuleMap, PresentedModule, direct_sum, lattice_form, valid
 
 PIC_CAVEAT = "injection into H^1; equality holds if X(k) is nonempty or Br(k) = 0"
 BRAUER_CAVEAT = "injection into H^2; equality holds if X(k) is nonempty or H^3(k, Gm) = 0"
+# Pic and Br_a are the hypercohomology of `upic_complex` in these degrees
+DEGREE_OF = {"pic": 1, "brauer_a": 2}
 
 
 class HomSpaceData:
@@ -92,12 +94,12 @@ def upic_complex(data: HomSpaceData) -> BoundedComplex:
 
 
 def pic(data: HomSpaceData) -> InvariantReport:
-    value = hypercohomology(data.group, upic_complex(data), 1)
+    value = hypercohomology(data.group, upic_complex(data), DEGREE_OF["pic"])
     return InvariantReport(value, PIC_CAVEAT, data.assume_pic_trivial)
 
 
 def brauer_a(data: HomSpaceData) -> InvariantReport:
-    value = hypercohomology(data.group, upic_complex(data), 2)
+    value = hypercohomology(data.group, upic_complex(data), DEGREE_OF["brauer_a"])
     return InvariantReport(value, BRAUER_CAVEAT, data.assume_pic_trivial)
 
 
@@ -222,14 +224,15 @@ def upic_dual(data: HomSpaceData) -> DualReport:
 
 
 class TopologicalReport:
-    __slots__ = ("h0", "hminus1", "h0_label", "hminus1_label", "note")
+    __slots__ = ("h0", "hminus1", "h0_label", "hminus1_label", "note", "assume_pic_trivial")
 
-    def __init__(self, h0, hminus1, h0_label, hminus1_label, note):
+    def __init__(self, h0, hminus1, h0_label, hminus1_label, note, assume_pic_trivial):
         self.h0 = h0
         self.hminus1 = hminus1
         self.h0_label = h0_label
         self.hminus1_label = hminus1_label
         self.note = note
+        self.assume_pic_trivial = assume_pic_trivial
 
     def render(self) -> str:
         left = f"{self.h0_label or 'H0'} = {self.h0.render()}"
@@ -256,7 +259,7 @@ def topological_report(
     h0_label = "pi_1(X(C))" if stabilizer_connected else None
     hminus1_label = "pi_2(X(C))/torsion" if (stabilizer_connected or condition_h1) else None
     note = "" if (stabilizer_connected or condition_h1) else "hypotheses not asserted; values unlabeled"
-    return TopologicalReport(dual.h0, dual.hminus1, h0_label, hminus1_label, note)
+    return TopologicalReport(dual.h0, dual.hminus1, h0_label, hminus1_label, note, dual.assume_pic_trivial)
 
 
 class TorusComparisonData:

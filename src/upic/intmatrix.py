@@ -218,10 +218,15 @@ class SparseCols:
         self.entries = [dict() for _ in range(cols)]
 
     @classmethod
-    def from_dense(cls, a: IntMatrix) -> "SparseCols":
-        out = cls(a.rows, a.cols)
-        out.entries = _sparse_columns(a)
+    def of(cls, rows: int, entries: list) -> "SparseCols":
+        """The matrix whose columns are these {row: value} dicts, held without a copy."""
+        out = object.__new__(cls)
+        out.rows, out.cols, out.entries = rows, len(entries), entries
         return out
+
+    @classmethod
+    def from_dense(cls, a: IntMatrix) -> "SparseCols":
+        return cls.of(a.rows, _sparse_columns(a))
 
     def add(self, r: int, c: int, v: int):
         if v:
@@ -586,9 +591,7 @@ def cycle_lattice(d: IntMatrix | SparseCols, target_relations: IntMatrix) -> Int
                     for j, x in trans[k].items():
                         v[j] = v.get(j, 0) + yk * x
             spanning.append(v)
-    span = SparseCols(n, len(spanning))
-    span.entries = spanning
-    h, _, pivots = span.to_dense().hermite()
+    h, _, pivots = SparseCols.of(n, spanning).to_dense().hermite()
     rank = len(pivots)  # the pivot columns come first
     out = _wrap(n, rank, [row[:rank] for row in h.data])
     # independent Hermite columns are their own Hermite form, with v = I;
@@ -674,6 +677,17 @@ def solve_integer(a: IntMatrix, b) -> list | None:
     return x
 
 
+def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An integer X with a*X == b, one `solve_integer` per column of b, or None if a column has none."""
+    cols = []
+    for col in b.columns():
+        x = solve_integer(a, col)
+        if x is None:
+            return None
+        cols.append(x)
+    return IntMatrix.from_columns(a.cols, cols)
+
+
 def cokernel_invariants(a: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^rows / (column span of a)."""
     diag = smith_diagonal(a)
@@ -707,13 +721,8 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix (columnwise integer solves)."""
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
-    cols = []
-    for i in range(a.rows):
-        e = [0] * a.rows
-        e[i] = 1
-        x = solve_integer(a, e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return IntMatrix.from_columns(a.rows, cols)
+    inverse = solve_columns(a, IntMatrix.identity(a.rows))
+    if inverse is None:
+        raise ValueError("matrix is not unimodular")
+    return inverse
 

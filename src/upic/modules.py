@@ -31,7 +31,7 @@ from .intmatrix import (
     in_column_span,
     smith_diagonal,
     smith_normal_form,
-    solve_integer,
+    solve_columns,
     unimodular_inverse,
 )
 
@@ -225,10 +225,10 @@ def equivariant_presentation(m: PresentedModule):
         if g == m.group.identity and rho == IntMatrix.identity(m.gens):
             action.append(IntMatrix.identity(rank))
             continue
-        cols = [solve_integer(iota, col) for col in rho.mul(iota).columns()]
-        if None in cols:
+        x_g = solve_columns(iota, rho.mul(iota))
+        if x_g is None:
             raise ValidationError([f"action of element {g} does not preserve the relation lattice"])
-        action.append(IntMatrix.from_columns(rank, cols))
+        action.append(x_g)
     return free_module(m.group, m.action), free_module(m.group, action), iota
 
 

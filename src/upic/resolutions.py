@@ -17,6 +17,11 @@ its generators of F_p and that check.
   that is not dihedral: A4, Q8, S4, ...).
   F_p is generated greedily from the Hermite basis of ker d_(p-1)
   (`_choose_generators`), and the image of d_p must hold that basis.
+  That check cannot fail: `_exact` adds the same `z_boundary` columns,
+  in the same order, that the chooser added to its own span while it put
+  every basis vector in it.  So this route's exactness rests on
+  `cycle_lattice` alone; a contracting homotopy, as the other routes
+  have, would certify it independently.
   RESOLUTION_BUILD_LIMIT bounds the lattice whose kernel is taken.
 * Constructed (`AbelianResolution`: a nontrivial abelian group).  The
   group is a product <t_1> x ... x <t_k> of cyclic groups of orders
@@ -89,14 +94,12 @@ _EXTEND_LOCK = threading.Lock()
 def z_boundary(group: FiniteGroup, gens: list, rows: int) -> SparseCols:
     """d_p on the Z-bases {g e_j}: column i*|G| + h is h times the boundary of generator i."""
     n = group.order
-    out = SparseCols(rows, 0)
-    out.cols = len(gens) * n
-    entries = out.entries
+    entries = []
     for bd in gens:
         terms = [(j * n, g, c) for (j, g), c in bd.items()]
         for row in group.table:
             entries.append({base + row[g]: c for base, g, c in terms})
-    return out
+    return SparseCols.of(rows, entries)
 
 
 class _Resolution:
@@ -114,8 +117,7 @@ class _Resolution:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.boundaries = [None]
-        self._d_top = SparseCols(1, group.order)  # the augmentation F_0 -> Z
-        self._d_top.entries = [{0: 1} for _ in range(group.order)]
+        self._d_top = SparseCols.of(1, [{0: 1} for _ in range(group.order)])  # the augmentation F_0 -> Z
 
     def rank(self, p: int) -> int:
         self._extend(p)
@@ -134,8 +136,7 @@ class _Resolution:
                 d_at = z_boundary(self.group, gens, d_below.cols)
                 # d_p is a G-map by construction (column i*|G| + g is g times
                 # column i*|G| + e), so d d vanishes once it does on the generators
-                on_gens = SparseCols(d_at.rows, 0)
-                on_gens.cols, on_gens.entries = len(gens), d_at.entries[self.group.identity :: self.group.order]
+                on_gens = SparseCols.of(d_at.rows, d_at.entries[self.group.identity :: self.group.order])
                 if any(d_below.compose(on_gens).entries):
                     raise ExactnessViolation(f"the resolution's boundaries do not compose to zero at F_{p}")
                 self._exact(p, d_below, d_at, witness)
@@ -177,7 +178,7 @@ class SmallResolution(_Resolution):
         return _choose_generators(self.group, kernel, d_below.cols), kernel
 
     def _exact(self, p: int, d_below: SparseCols, d_at: SparseCols, kernel: list):
-        """The image of d_p holds every basis vector of ker d_(p-1), in a span of its own."""
+        """The image of d_p holds every basis vector of ker d_(p-1): a check that cannot fail (module docstring)."""
         image = LatticeSpan()
         for col in d_at.entries:
             image.add(col)
@@ -322,9 +323,7 @@ class AbelianResolution(_Resolution):
         """h_p: F_p -> F_(p+1) on the Z-bases, and h_(-1) = eta: Z -> F_0."""
         n, k = self.group.order, len(self.orders)
         if p < 0:
-            out = SparseCols(n, 1)
-            out.entries[0] = {self._powers[0][0]: 1}
-            return out
+            return SparseCols.of(n, [{self._powers[0][0]: 1}])
         above = {q: j for j, q in enumerate(_compositions(p + 1, k))}
         comps = _compositions(p, k)
         out = SparseCols(len(above) * n, len(comps) * n)
@@ -424,10 +423,8 @@ class DihedralResolution(AbelianResolution):
         if p < 0:
             return h
         at, above = self._flip(p), self._flip(p + 1)
-        out = SparseCols(h.rows, 0)
-        out.cols = h.cols
-        out.entries = [{above[r][1]: sign * above[r][0] * v for r, v in h.entries[c].items()} for sign, c in at]
-        return out
+        entries = [{above[r][1]: sign * above[r][0] * v for r, v in h.entries[c].items()} for sign, c in at]
+        return SparseCols.of(h.rows, entries)
 
 
 def small_resolution(group: FiniteGroup) -> AbelianResolution | SmallResolution:

@@ -47,24 +47,6 @@ class TaskFile:
         self.comparisons = comparisons
         self.tasks = tasks
 
-    def __eq__(self, other):
-        return isinstance(other, TaskFile) and self.to_json_dict() == other.to_json_dict()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": FORMAT_TAG,
-            "group": self.group_spec,
-            "generators": self.generators,
-            "modules": self.modules,
-            "maps": self.maps,
-            "homspace": self.homspace,
-            "comparisons": self.comparisons,
-            "tasks": self.tasks,
-        }
-
-    def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     def build(self) -> "BuiltTasks":
         return BuiltTasks(self)
 
@@ -137,11 +119,13 @@ def parse_task_text(text: str) -> TaskFile:
 
 
 def parse_task_file(path) -> TaskFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as e:
-            raise TaskFileError(f"not UTF-8 text: {e}") from e
+    except UnicodeDecodeError as e:
+        raise TaskFileError(f"not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise TaskFileError(f"cannot read {path}: {e}") from e
     return parse_task_text(text)
 
 
@@ -157,7 +141,7 @@ def _extend_actions(group: FiniteGroup, gen_indices, gen_mats, gens: int, name: 
 class BuiltTasks:
     """Engine objects constructed from a TaskFile, fully validated."""
 
-    __slots__ = ("group", "generator_indices", "modules", "maps", "homspace", "comparisons", "tasks")
+    __slots__ = ("group", "modules", "maps", "homspace", "comparisons", "tasks")
 
     def __init__(self, tf: TaskFile):
         if "table" in tf.group_spec:
@@ -175,7 +159,6 @@ class BuiltTasks:
             if not (type(g) is int and 0 <= g < group.order):
                 raise ValidationError([f"generator {g!r}: need an integer element index in 0..{group.order - 1}"])
         self.group = group
-        self.generator_indices = gen_indices
 
         self.modules = {}
         for name, spec in tf.modules.items():

@@ -1225,7 +1225,7 @@ class TestFreeRoute:
         def refuse(*args):
             raise AssertionError("relation lattice built for lattice coefficients")
 
-        monkeypatch.setattr(modules, "solve_integer", refuse)
+        monkeypatch.setattr(modules, "solve_columns", refuse)
         g = FiniteGroup.cyclic(4)
         j = norm_one_lattice_of(g)
         k = two_term(ModuleMap.zero(j, zero_module(g)))

@@ -23,12 +23,6 @@ def fixture_doc(name):
 
 
 class TestParsing:
-    def test_round_trip(self):
-        tf = parse_task_text(fixture_text("norm_one_3"))
-        again = parse_task_text(tf.serialize())
-        assert tf == again
-        assert parse_task_text(again.serialize()) == tf
-
     def test_json_error_carries_position(self):
         with pytest.raises(TaskFileError, match=r"line 1, column"):
             parse_task_text("{broken")
@@ -221,6 +215,32 @@ class TestCLI:
             "cokernel": rep.cokernel_invariants.render(),
             "stabilizer_torsion": rep.stabilizer_torsion.render(),
         }
+
+    @pytest.mark.parametrize("oracle", ["off", "on"])
+    @pytest.mark.parametrize("assume", [True, False])
+    def test_report_records_echo_the_pic_hypothesis(self, capsys, tmp_path, assume, oracle):
+        """Each of the four report ops carries the input's assume_pic_trivial, and under --oracle on both
+        ops that run upic_dual carry its note; topological_report had neither.  The raw op carries no flag."""
+        from upic.homspace import topological_report
+
+        doc = fixture_doc("sln_normalizer")
+        doc["homspace"]["D"]["assume_pic_trivial"] = assume
+        ops = ("pic", "brauer_a", "upic_dual", "topological_report", "hypercohomology")
+        doc["tasks"] = [{"op": op, "data": "D", "stabilizer_connected": True} for op in ops]
+        text = json.dumps(doc)
+        p, out_path = tmp_path / "reports.task", tmp_path / "records.json"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = self.run_cli(capsys, "run", str(p), "--oracle", oracle, "--out", str(out_path))
+        assert code == 0, err
+        records = {r["task"]["op"]: r for r in json.loads(out_path.read_text())}
+        assert [records[op].get("assumes_pic_trivial") for op in ops] == [assume] * 4 + [None]
+        note = "dual sequence bookkeeping verified internally" if oracle == "on" else None
+        assert records["upic_dual"].get("oracle") == records["topological_report"].get("oracle") == note
+        rep = topological_report(parse_task_text(text).build().homspace["D"], True)
+        assert rep.assume_pic_trivial is assume
+        line = f"[4] topological_report(D) = {rep.render()}"
+        line += " | assumes Pic(Gbar) = 0" * assume + f" | oracle: {note}" * (note is not None)
+        assert out.splitlines()[3] == line
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = self.fixture_path(tmp_path, "norm_one_3")
@@ -591,6 +611,32 @@ class TestCLI:
         assert "biquadratic_norm_one: brauer_a(D) = Z/2 [ok]" in out
         assert err.startswith("failures:")
         assert "norm_one_5: injected failure" in err and err.count("injected failure") == 1
+
+    def test_fixtures_run_all_reports_fixtures_that_do_not_build(self, capsys, monkeypatch):
+        """A bundled fixture that fails to parse or to validate is a failures: entry and exit 4, not a
+        traceback; the other fixtures are still compared."""
+        import upic.cli as cli
+
+        real = cli.fixture_text
+
+        def damaged(name):
+            if name == "norm_one_3":
+                return "{broken"
+            doc = json.loads(real(name))
+            if name == "quasitrivial_c2":
+                doc["modules"]["XG"]["action"] = [[[2, 0], [0, 2]]]
+            return json.dumps(doc)
+
+        monkeypatch.setattr(cli, "fixture_text", damaged)
+        code, out, err = self.run_cli(capsys, "fixtures", "--run-all")
+        assert code == 4
+        assert "norm_one_3:" not in out and "quasitrivial_c2:" not in out
+        for name in set(FIXTURES) - {"norm_one_3", "quasitrivial_c2"}:
+            for label, want in FIXTURE_EXPECTATIONS[name].items():
+                assert f"{name}: {label} = {want} [ok]" in out
+        assert err.startswith("failures:") and "Traceback" not in err
+        assert "norm_one_3: line 1, column 2" in err
+        assert "quasitrivial_c2: module XG:" in err
 
     def test_degree_below_the_support(self, capsys, tmp_path):
         doc = {
