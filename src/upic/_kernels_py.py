@@ -20,6 +20,7 @@ ints and never mutate their arguments; every returned row is a new list.
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd
 
 
 def _identity(n):
@@ -70,12 +71,39 @@ def _find_pivot(d, m, n, t):
     return (bi, bj) if best is not None else None
 
 
+def _repair_chain(d, k):
+    # (x, y) -> (gcd, lcm) on two diagonal entries is an equivalence over Z;
+    # units divide everything and the zeros are already last, so the sweep
+    # runs on the entries above 1 and the units are moved to the front
+    diag = [d[i][i] for i in range(k)]
+    rest = [x for x in diag if x > 1]
+    for i in range(len(rest)):
+        x = rest[i]
+        for j in range(i + 1, len(rest)):
+            y = rest[j]
+            if y % x:
+                g = gcd(x, y)
+                rest[j] = x // g * y
+                x = g
+        rest[i] = x
+    for i, x in enumerate([1] * diag.count(1) + rest + [0] * diag.count(0)):
+        d[i][i] = x
+
+
 def snf(a, m: int, n: int, want_transforms: bool):
     """Smith normal form by unimodular row/column operations.
 
     Returns (d, u, v) where d is the reduced matrix (diagonal, nonnegative,
     with d[0] | d[1] | ...) and, when `want_transforms`, u and v satisfy
     u * a * v == d with det(u), det(v) = +-1.  Otherwise u and v are None.
+
+    Each pivot step clears the pivot's row and column.  Without transforms
+    the step stops there, and the divisor chain is restored on the diagonal
+    at the end by the pairwise sweep (d_i, d_j) -> (gcd, lcm), an
+    equivalence over Z that gives the same diagonal without eliminating the
+    block again.  With transforms u and v must stay explicit, so a pivot
+    that does not divide the rest of the block has an offending row added
+    to its own, recorded in u, and the step runs again.
     """
     d = [list(row) for row in a]
     u = _identity(m) if want_transforms else None
@@ -136,6 +164,8 @@ def snf(a, m: int, n: int, want_transforms: bool):
                         dirty = True
             if dirty:
                 continue
+            if u is None:
+                break  # the chain is repaired on the diagonal below
 
             # pivot must divide the remaining submatrix for the chain law
             offender = -1
@@ -152,11 +182,12 @@ def snf(a, m: int, n: int, want_transforms: bool):
             dr = d[offender]
             for jj in range(t, n):
                 pr[jj] += dr[jj]
-            if u is not None:
-                ur, upr = u[offender], u[t]
-                for jj in range(m):
-                    upr[jj] += ur[jj]
+            ur, upr = u[offender], u[t]
+            for jj in range(m):
+                upr[jj] += ur[jj]
 
+    if u is None:
+        _repair_chain(d, min(m, n))
     return d, u, v
 
 

@@ -166,11 +166,13 @@ def _complex_cohomology(data: HomSpaceData, rank_g: int, rank_h: int):
     """H^0 and H^1 of [X(G) -> X(H)], given the ranks of the two modules.
 
     H^1 = Z^b / span[res | R_H], with R_H the relations of X(H), is read off
-    that matrix's own Smith diagonal, with no transforms.  H^0 is the kernel
-    of a map out of a lattice, so it is free, and the Euler characteristic
-    over Q gives its rank: rank X(G) - rank X(H) + rank H^1.
+    that matrix's own Smith diagonal, with no transforms; with no relation
+    columns the matrix is `res` itself.  H^0 is the kernel of a map out of a
+    lattice, so it is free, and the Euler characteristic over Q gives its
+    rank: rank X(G) - rank X(H) + rank H^1.
     """
-    diag = smith_diagonal(data.res.matrix.hstack(data.xh.relations))
+    relations = data.xh.relations
+    diag = smith_diagonal(data.res.matrix.hstack(relations) if relations.cols else data.res.matrix)
     h1 = AbelianInvariants(diag.count(0), [d for d in diag if d > 1])
     return AbelianInvariants(rank_g - rank_h + h1.free_rank), h1
 

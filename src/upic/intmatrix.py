@@ -392,17 +392,20 @@ class AbelianInvariants:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion=()):
-        # from a list: a tuple grown from a generator bypasses the tuple free list, which it fills when freed
-        torsion = tuple([int(t) for t in torsion])
         if free_rank < 0:
             raise ValueError("negative free rank")
+        self.free_rank = free_rank
+        if not torsion:  # an empty list or tuple: nothing to copy or check
+            self.torsion = ()
+            return
+        # from a list: a tuple grown from a generator bypasses the tuple free list, which it fills when freed
+        torsion = tuple([int(t) for t in torsion])
         for t in torsion:
             if t < 2:
                 raise ValueError("torsion entries must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion chain must satisfy divisibility")
-        self.free_rank = free_rank
         self.torsion = torsion
 
     @property
@@ -447,6 +450,9 @@ def _diagonal(d, rows: int, cols: int) -> list:
 def smith_diagonal(a: IntMatrix) -> list:
     """`SmithDecomposition.diagonal` without the transform bookkeeping.
 
+    The kernel's transform-free path clears each pivot's row and column
+    and restores the divisor chain on the diagonal by gcd/lcm instead of by
+    row additions; the diagonal is the same, as the Smith form is unique.
     A matrix with no rows or no columns has the diagonal its shape gives,
     all zeros, read with no call to the kernel.
     """

@@ -30,6 +30,7 @@ def check_smith_laws(a):
     assert s.u.mul(a).mul(s.v) == s.d
     assert is_unimodular(s.u) and is_unimodular(s.v)
     diag = s.diagonal()
+    assert smith_diagonal(a) == diag  # the transform-free path repairs the chain by gcd/lcm
     assert len(diag) == a.rows
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d]
@@ -94,6 +95,31 @@ def test_empty_shapes_are_read_without_the_kernels(monkeypatch, rows, cols):
     assert cokernel_invariants(a) == AbelianInvariants(diag.count(0))
     assert kernel_basis(a) == kernel == IntMatrix.identity(cols)
     assert a._hnf_cache is None
+
+
+@pytest.mark.parametrize(
+    "rows,cols,diag,expected",
+    [
+        (2, 2, [7, 2], [1, 14]),
+        (3, 3, [6, 10, 15], [1, 30, 30]),
+        (4, 4, [2, 3, 5, 7], [1, 1, 1, 210]),
+        (3, 3, [4, 6, 0], [2, 12, 0]),
+        (3, 5, [4, 6, 0], [2, 12, 0]),  # rank 2
+    ],
+)
+def test_smith_chain_repair_on_scrambled_diagonals(rows, cols, diag, expected):
+    """Diagonals that break the divisor chain, scrambled on both sides, need the chain repaired."""
+    from conftest import random_unimodular_pair
+
+    a = IntMatrix(rows, cols, [[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
+    assert smith_diagonal(a) == expected
+    rng = random.Random(rows * cols)
+    for _ in range(10):
+        p, _ = random_unimodular_pair(rows, rng)
+        q, _ = random_unimodular_pair(cols, rng)
+        scrambled = p.mul(a).mul(q)
+        check_smith_laws(scrambled)
+        assert smith_diagonal(scrambled) == expected
 
 
 def test_smith_random_suite():
@@ -536,6 +562,14 @@ def test_invariants_canonical_form():
         AbelianInvariants(0, [3, 2])
     with pytest.raises(ValueError):
         AbelianInvariants(0, [1])
+    for free_rank, torsion in ((-1, ()), (-1, [2]), (0, [0]), (0, [1]), (1, (2, 0)), (0, [4, 6])):
+        with pytest.raises(ValueError):
+            AbelianInvariants(free_rank, torsion)
+    for empty in ([], (), (t for t in [1] if t > 1)):
+        assert AbelianInvariants(3, empty).torsion == ()
+    assert AbelianInvariants(2) == AbelianInvariants(2, [])
+    assert hash(AbelianInvariants(2)) == hash(AbelianInvariants(2, []))
+    assert AbelianInvariants(1, (t for t in [2, 4])).torsion == (2, 4)
 
 
 def check_kernel_contracts(k, rows, m, n):
@@ -710,6 +744,7 @@ def test_kernel_signatures_match_tracer_patch_points():
     d, u, w = kernels.snf([[2, 1]], 1, 2, True)
     assert kernels.matmul([[2, 1]], v) == h and pivots == [(0, 0)]
     assert kernels.matmul(kernels.matmul(u, [[2, 1]]), w) == d
+    assert kernels.snf([[2, 1]], 1, 2, False) == (d, None, None)  # the tracer's bit reader skips None
     a = IntMatrix(1, 2, [[2, 1]])
     h, v, pivots = a.hermite()
     assert a.mul(v) == h and list(pivots) == [(0, 0)]
